@@ -23,23 +23,26 @@ type appController struct {
 	task *afg.Task
 	spec *tasklib.Spec
 	dm   *dataManager
+	// series is the task's visualization series, "task:<name>", built
+	// once here rather than on every run; empty without Engine.Metrics.
+	series string
 }
 
-func newAppController(run *appRun, task *afg.Task) (*appController, error) {
+func newAppController(run *appRun, task *afg.Task, inbox chan delivery) (*appController, error) {
 	spec, err := run.engine.Reg.Get(task.Name)
 	if err != nil {
 		return nil, err
 	}
-	dm, err := newDataManager(run, task)
-	if err != nil {
-		return nil, err
+	ac := &appController{app: run, task: task, spec: spec,
+		dm: &dataManager{run: run, task: task, inbox: inbox}}
+	if run.engine.Metrics != nil {
+		ac.series = "task:" + task.Name
 	}
-	return &appController{app: run, task: task, spec: spec, dm: dm}, nil
+	return ac, nil
 }
 
 // run executes the controller's lifecycle to completion.
 func (ac *appController) run(ctx context.Context) error {
-	defer ac.dm.close()
 	e := ac.app.engine
 
 	// Console service: a suspended application dispatches no new tasks.
@@ -50,7 +53,7 @@ func (ac *appController) run(ctx context.Context) error {
 	}
 
 	// Receive dataflow inputs (blocks until parents deliver).
-	in, err := ac.dm.receiveInputs()
+	in, err := ac.dm.receiveInputs(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -71,7 +74,7 @@ func (ac *appController) run(ctx context.Context) error {
 		return fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
 	}
 	ac.app.storeOutputs(ac.task.ID, outs)
-	return ac.dm.sendOutputs(outs)
+	return ac.dm.sendOutputs(ctx, outs)
 }
 
 // executeWithRescheduling runs the task, moving it to a new host when
@@ -103,7 +106,7 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 				})
 			}
 			if e.Metrics != nil {
-				e.Metrics.Add("task:"+ac.task.Name, tr.End.Sub(tr.Start), tr.Elapsed.Seconds())
+				e.Metrics.Add(ac.series, tr.End.Sub(tr.Start), tr.Elapsed.Seconds())
 			}
 			return outs, nil
 		}

@@ -4,12 +4,20 @@
 // when a machine's load crosses the threshold; and the Data Manager, the
 // socket-based point-to-point communication system for inter-task data.
 //
-// The lifecycle follows §4 exactly: Data Managers create listening
-// sockets for every task with dataflow inputs, acknowledgments are
-// collected, the execution startup signal is broadcast, tasks run and
-// stream their outputs to their children over TCP, and each completed
-// execution is reported so the Site Manager can update the
-// task-performance database.
+// The lifecycle follows §4: every task with dataflow inputs gets an
+// inbox on its engine's data listener (registering the run's routes is
+// the acknowledgment collection), the execution startup signal is
+// broadcast, tasks run and stream their outputs to their children over
+// TCP, and each completed execution is reported so the Site Manager can
+// update the task-performance database.
+//
+// The data plane is one loopback listener per Engine, opened on the
+// first Execute and shut by Close. Producers write length + CRC-32
+// framed envelopes (internal/frame, protocol.DataEnvelope) on a small
+// pool of persistent connections; one reader per accepted connection
+// decodes each frame and routes it by (app ID, task) into the
+// destination run's inbox. A receiver waits on its inbox and the run
+// context together, so a silent or stalled peer cannot hold a task.
 package exec
 
 import (
@@ -99,6 +107,42 @@ type Engine struct {
 	// simultaneously.
 	inFlight     atomic.Int32
 	peakInFlight atomic.Int32
+
+	// dataMu guards data, the data plane opened by the first Execute,
+	// and closed, set by Close.
+	dataMu sync.Mutex
+	data   *dataPlane
+	closed bool
+}
+
+// dataPlane returns the engine's data plane, opening it on first use.
+func (e *Engine) dataPlane() (*dataPlane, error) {
+	e.dataMu.Lock()
+	defer e.dataMu.Unlock()
+	if e.closed {
+		return nil, errEngineClosed
+	}
+	if e.data == nil {
+		dp, err := openDataPlane()
+		if err != nil {
+			return nil, err
+		}
+		e.data = dp
+	}
+	return e.data, nil
+}
+
+// Close shuts the engine's data plane down: the listener, the pooled
+// connections and their readers. Runs still waiting for inputs fail, and
+// later Execute calls return an error. Close is idempotent.
+func (e *Engine) Close() {
+	e.dataMu.Lock()
+	dp := e.data
+	e.data, e.closed = nil, true
+	e.dataMu.Unlock()
+	if dp != nil {
+		dp.close()
+	}
 }
 
 // lockHosts serializes execution on the given machines: a host runs one
@@ -339,10 +383,15 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		opt(&eo)
 	}
 	appID := fmt.Sprintf("%s-%d-%d", g.Name, time.Now().UnixNano(), e.appSeq.Add(1))
+	dp, err := e.dataPlane()
+	if err != nil {
+		return nil, err
+	}
 	run := &appRun{
 		engine:      e,
 		g:           g,
 		appID:       appID,
+		data:        dp,
 		maxAttempts: maxAttempts,
 		checkPeriod: checkPeriod,
 		sink:        eo.sink,
@@ -355,16 +404,19 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		run.placements[p.Task] = &p
 	}
 
-	// Phase 1 (Data Manager setup): every task with dataflow inputs
-	// opens its listening socket; the "resource allocation information,
-	// including the socket number [and] IP address" is assembled for the
-	// producers. Socket setup completing for all tasks is the paper's
-	// acknowledgment collection.
+	// Phase 1 (Data Manager setup): every task with dataflow inputs gets
+	// its inbox on the engine's data listener before any task starts, so
+	// no producer can send ahead of its consumer's route. Registering the
+	// routes is the paper's acknowledgment collection.
+	inboxes, err := dp.register(appID, g)
+	if err != nil {
+		return nil, err
+	}
+	defer dp.unregister(appID)
 	controllers := make([]*appController, 0, len(g.Tasks))
 	for _, task := range g.Tasks {
-		ac, err := newAppController(run, task)
+		ac, err := newAppController(run, task, inboxes[task.ID])
 		if err != nil {
-			run.closeAll(controllers)
 			return nil, err
 		}
 		controllers = append(controllers, ac)
@@ -373,18 +425,6 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	// Phase 2: the execution startup signal.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Cancellation path: controllers parked in receiveInputs block in
-	// Accept and never observe the context, so close every listener the
-	// moment the run is canceled (a task failure or a caller abort).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-runCtx.Done():
-			run.closeAll(controllers)
-		case <-watchDone:
-		}
-	}()
 	start := time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(controllers))
@@ -400,7 +440,6 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	}
 	wg.Wait()
 	close(errCh)
-	run.closeAll(controllers)
 	if err := <-errCh; err != nil {
 		return nil, err
 	}
@@ -425,6 +464,7 @@ type appRun struct {
 	engine      *Engine
 	g           *afg.Graph
 	appID       string
+	data        *dataPlane
 	maxAttempts int
 	checkPeriod time.Duration
 	sink        func(Event) // optional recovery-event stream
@@ -436,7 +476,6 @@ type appRun struct {
 	rescheduled int64
 	failedHosts []string
 	failedSeen  map[string]bool
-	addrs       sync.Map // afg.TaskID -> listen address
 }
 
 // emit streams one recovery event to the run's sink, if any.
@@ -498,10 +537,4 @@ func (r *appRun) storeOutputs(id afg.TaskID, vals []tasklib.Value) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.outputs[id] = vals
-}
-
-func (r *appRun) closeAll(controllers []*appController) {
-	for _, ac := range controllers {
-		ac.dm.close()
-	}
 }

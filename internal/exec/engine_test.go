@@ -46,7 +46,7 @@ func newRig(t *testing.T, hosts int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{
+	r := &rig{
 		tb:   tb,
 		site: local,
 		net:  net,
@@ -56,6 +56,8 @@ func newRig(t *testing.T, hosts int) *rig {
 			Reschedule: NewRescheduler([]*core.LocalSite{local}),
 		},
 	}
+	t.Cleanup(r.engine.Close)
+	return r
 }
 
 func (r *rig) schedule(t *testing.T, g *afg.Graph) *core.AllocationTable {
@@ -312,6 +314,7 @@ func TestDilationStretchesRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: 1}
+	defer engine.Close()
 	g := afg.NewGraph("spin")
 	id := g.AddTask("Spin", "util", 0, 1)
 	if err := g.SetProps(id, afg.Properties{Args: map[string]string{"ms": "20"}}); err != nil {

@@ -180,6 +180,7 @@ func E7Reschedule(spinMs int, contention float64) (*Table, error) {
 			Reg: tasklib.Default(), TB: tb,
 			LoadCheckPeriod: time.Millisecond,
 		}
+		defer engine.Close()
 		if withReschedule {
 			engine.LoadThreshold = 0.7
 			engine.Reschedule = exec.NewRescheduler([]*core.LocalSite{local})

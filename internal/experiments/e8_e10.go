@@ -51,6 +51,7 @@ func E8Prediction(runs int) (*Table, error) {
 			_ = site.Repo.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
 		},
 	}
+	defer engine.Close()
 	g := afg.NewGraph("probe")
 	id := g.AddTask("Spin", "util", 0, 1)
 	if err := g.SetProps(id, afg.Properties{Args: map[string]string{"ms": "10"}}); err != nil {
@@ -142,6 +143,7 @@ func E10DataManager(sizes []int) (*Table, error) {
 		return nil, err
 	}
 	engine := &exec.Engine{Reg: tasklib.Default(), TB: tb}
+	defer engine.Close()
 	for _, n := range sizes {
 		g := afg.NewGraph("xfer")
 		gen := g.AddTask("Matrix_Generate", "matrix", 0, 1)
@@ -168,6 +170,6 @@ func E10DataManager(sizes []int) (*Table, error) {
 		t.Add(fmt.Sprintf("%dx%d (%.1f MB)", n, n, float64(payload)/1e6),
 			wall.Round(time.Millisecond).String(), fmt.Sprintf("%.1f", mbps))
 	}
-	t.Note("includes generation + gob encode/decode + checksum; sizes sweep the channel path")
+	t.Note("includes generation + binary encode/decode + checksum; sizes sweep the channel path")
 	return t, nil
 }

@@ -3,10 +3,12 @@ package protocol
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
 	"vdce/internal/core"
+	"vdce/internal/frame"
 	"vdce/internal/repository"
 )
 
@@ -61,12 +63,52 @@ func TestWorkloadBatchGob(t *testing.T) {
 	}
 }
 
-func TestDataEnvelopeGob(t *testing.T) {
+// sealDataFrame appends env, payload included, as one sealed frame.
+func sealDataFrame(dst []byte, env *DataEnvelope) []byte {
+	buf, start := BeginDataFrame(dst, env, len(env.Payload))
+	buf = append(buf, env.Payload...)
+	frame.Seal(buf, start)
+	return buf
+}
+
+func TestDataEnvelopeFrame(t *testing.T) {
 	in := DataEnvelope{AppID: "a", FromTask: 1, ToTask: 2, ToPort: 3, Payload: []byte{1, 2, 3}}
-	var out DataEnvelope
-	roundTrip(t, in, &out)
-	if out.AppID != "a" || out.ToPort != 3 || len(out.Payload) != 3 {
+	fr := sealDataFrame([]byte("prefix"), &in)
+	p, n, err := frame.Decode(fr[len("prefix"):], MaxDataFrame)
+	if err != nil || n != len(fr)-len("prefix") {
+		t.Fatalf("frame.Decode: %d bytes, %v", n, err)
+	}
+	out, err := ParseDataEnvelope(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip lost data: %+v", out)
+	}
+
+	// A fan-out edge readdresses the sealed frame in place.
+	fr = sealDataFrame(nil, &in)
+	if err := ReaddressDataFrame(fr, 9, 0); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err = frame.Decode(fr, MaxDataFrame)
+	if err != nil {
+		t.Fatalf("readdressed frame: %v", err)
+	}
+	if out, err = ParseDataEnvelope(p); err != nil || out.ToTask != 9 || out.ToPort != 0 ||
+		out.AppID != "a" || out.FromTask != 1 || !bytes.Equal(out.Payload, in.Payload) {
+		t.Fatalf("readdressed envelope = %+v, %v", out, err)
+	}
+
+	// Payloads too short for the routing fields are refused.
+	full := sealDataFrame(nil, &DataEnvelope{AppID: "app"})[frame.Header:]
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := ParseDataEnvelope(full[:cut]); err != errBadEnvelope {
+			t.Fatalf("cut %d: %v, want errBadEnvelope", cut, err)
+		}
+	}
+	if _, err := ParseDataEnvelope(bytes.Repeat([]byte{0xff}, 24)); err != errBadEnvelope {
+		t.Fatalf("varint overflow: %v", err)
 	}
 }
 

@@ -15,30 +15,58 @@ type Point struct {
 	V float64
 }
 
+// maxSeriesPoints caps every series: a long-running server adds a point
+// per task run and per job, so each series keeps only its newest
+// maxSeriesPoints points. That is far more than a chart's width.
+const maxSeriesPoints = 1024
+
 // Metrics is the visualization service's backing store: named time
 // series of application performance and workload measurements.
 type Metrics struct {
 	mu     sync.Mutex
-	series map[string][]Point
+	series map[string]*ring
+}
+
+// ring is one series: up to maxSeriesPoints points, overwritten oldest
+// first once full.
+type ring struct {
+	pts  []Point
+	next int // slot the next point overwrites once full
 }
 
 // NewMetrics returns an empty store.
 func NewMetrics() *Metrics {
-	return &Metrics{series: make(map[string][]Point)}
+	return &Metrics{series: make(map[string]*ring)}
 }
 
-// Add appends a sample to the named series.
+// Add appends a sample to the named series, dropping the series' oldest
+// point once it holds maxSeriesPoints.
 func (m *Metrics) Add(name string, t time.Duration, v float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.series[name] = append(m.series[name], Point{T: t, V: v})
+	r := m.series[name]
+	if r == nil {
+		r = &ring{}
+		m.series[name] = r
+	}
+	p := Point{T: t, V: v}
+	if len(r.pts) < maxSeriesPoints {
+		r.pts = append(r.pts, p)
+		return
+	}
+	r.pts[r.next] = p
+	r.next = (r.next + 1) % maxSeriesPoints
 }
 
 // Series returns a copy of the named series in insertion order.
 func (m *Metrics) Series(name string) []Point {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Point(nil), m.series[name]...)
+	r := m.series[name]
+	if r == nil {
+		return nil
+	}
+	return append(append([]Point(nil), r.pts[r.next:]...), r.pts[:r.next]...)
 }
 
 // Names lists the stored series, sorted.

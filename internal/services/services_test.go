@@ -104,6 +104,23 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 }
 
+func TestMetricsSeriesCapped(t *testing.T) {
+	m := NewMetrics()
+	const total = 10 * maxSeriesPoints
+	for i := 0; i < total; i++ {
+		m.Add("task:x", time.Duration(i), float64(i))
+	}
+	s := m.Series("task:x")
+	if len(s) != maxSeriesPoints {
+		t.Fatalf("series holds %d points, want %d", len(s), maxSeriesPoints)
+	}
+	for i, p := range s {
+		if want := total - maxSeriesPoints + i; p.V != float64(want) || p.T != time.Duration(want) {
+			t.Fatalf("point %d = %+v, want the newest points in insertion order (%d)", i, p, want)
+		}
+	}
+}
+
 func TestIOServiceFiles(t *testing.T) {
 	root := t.TempDir()
 	s := NewIOService(root)

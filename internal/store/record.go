@@ -19,14 +19,15 @@
 package store
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"vdce/internal/frame"
 )
 
-// Frame layout: a 4-byte little-endian payload length, a 4-byte
-// little-endian CRC-32 (IEEE) of the payload, then the payload itself.
-const frameHeader = 8
+// Records are framed with the shared frame format (internal/frame): a
+// 4-byte little-endian payload length, a 4-byte little-endian CRC-32
+// (IEEE) of the payload, then the payload itself.
 
 // MaxRecordSize bounds one record's payload. No legitimate record comes
 // within orders of magnitude of it; a declared length beyond it is
@@ -38,7 +39,7 @@ const MaxRecordSize = 16 << 20
 // ErrShortFrame reports an incomplete frame: the buffer ends before the
 // declared frame does. At the end of the final segment this is a torn
 // write and the tail is truncated; anywhere else it is corruption.
-var ErrShortFrame = fmt.Errorf("store: incomplete record frame")
+var ErrShortFrame = frame.ErrShort
 
 // CorruptError is the typed mid-log corruption report: a record whose
 // declared length is impossible or whose checksum does not match, with
@@ -60,35 +61,16 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("store: corrupt record in %s at offset %d (%s)", e.Path, e.Offset, e.Reason)
 }
 
-// appendFrame appends one framed payload to dst.
-func appendFrame(dst []byte, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
 // DecodeWALRecord decodes the first frame of buf, returning the payload
 // (aliasing buf, not a copy) and the total bytes the frame consumed.
 // ErrShortFrame means buf ends before the frame does (read more, or
 // treat as a torn tail at end of file); a *CorruptError means the frame
 // can never be valid no matter how many bytes follow.
 func DecodeWALRecord(buf []byte) (payload []byte, n int, err error) {
-	if len(buf) < frameHeader {
-		return nil, 0, ErrShortFrame
+	payload, n, err = frame.Decode(buf, MaxRecordSize)
+	var ce *frame.CorruptError
+	if errors.As(err, &ce) {
+		return nil, 0, &CorruptError{Reason: ce.Reason}
 	}
-	length := binary.LittleEndian.Uint32(buf[0:4])
-	if length > MaxRecordSize {
-		return nil, 0, &CorruptError{Reason: "length"}
-	}
-	end := frameHeader + int(length)
-	if len(buf) < end {
-		return nil, 0, ErrShortFrame
-	}
-	payload = buf[frameHeader:end]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, 0, &CorruptError{Reason: "checksum"}
-	}
-	return payload, end, nil
+	return payload, n, err
 }

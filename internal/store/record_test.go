@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"vdce/internal/frame"
 )
 
 func TestFrameRoundtrip(t *testing.T) {
@@ -15,7 +17,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 	var buf []byte
 	for _, p := range payloads {
-		buf = appendFrame(buf, p)
+		buf = frame.Append(buf, p)
 	}
 	for i, want := range payloads {
 		got, n, err := DecodeWALRecord(buf)
@@ -33,22 +35,22 @@ func TestFrameRoundtrip(t *testing.T) {
 }
 
 func TestDecodeShortAndCorrupt(t *testing.T) {
-	frame := appendFrame(nil, []byte("hello, durability"))
+	fr := frame.Append(nil, []byte("hello, durability"))
 
-	for cut := 0; cut < len(frame); cut++ {
-		_, _, err := DecodeWALRecord(frame[:cut])
+	for cut := 0; cut < len(fr); cut++ {
+		_, _, err := DecodeWALRecord(fr[:cut])
 		if err != ErrShortFrame {
 			t.Fatalf("cut at %d: err = %v, want ErrShortFrame", cut, err)
 		}
 	}
 
-	bad := bytes.Clone(frame)
-	bad[frameHeader] ^= 1
+	bad := bytes.Clone(fr)
+	bad[frame.Header] ^= 1
 	if _, _, err := DecodeWALRecord(bad); err == nil {
 		t.Fatal("flipped payload byte decoded cleanly")
 	}
 
-	var wild [frameHeader + 4]byte
+	var wild [frame.Header + 4]byte
 	binary.LittleEndian.PutUint32(wild[0:4], MaxRecordSize+1)
 	_, _, err := DecodeWALRecord(wild[:])
 	ce, ok := err.(*CorruptError)
@@ -63,14 +65,14 @@ func TestDecodeShortAndCorrupt(t *testing.T) {
 // *CorruptError.
 func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendFrame(nil, []byte("seed")))
-	f.Add(appendFrame(nil, nil))
-	torn := appendFrame(nil, []byte("torn tail record"))
+	f.Add(frame.Append(nil, []byte("seed")))
+	f.Add(frame.Append(nil, nil))
+	torn := frame.Append(nil, []byte("torn tail record"))
 	f.Add(torn[:len(torn)-3])
-	flipped := appendFrame(nil, []byte("flip"))
-	flipped[frameHeader] ^= 0x80
+	flipped := frame.Append(nil, []byte("flip"))
+	flipped[frame.Header] ^= 0x80
 	f.Add(flipped)
-	var wild [frameHeader]byte
+	var wild [frame.Header]byte
 	binary.LittleEndian.PutUint32(wild[0:4], ^uint32(0))
 	f.Add(wild[:])
 
@@ -84,14 +86,14 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			}
 			return
 		}
-		if n < frameHeader || n > len(data) {
+		if n < frame.Header || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if len(payload) != n-frameHeader {
+		if len(payload) != n-frame.Header {
 			t.Fatalf("payload %d bytes but frame consumed %d", len(payload), n)
 		}
 		// A successful decode must survive a re-encode byte-for-byte.
-		if !bytes.Equal(appendFrame(nil, payload), data[:n]) {
+		if !bytes.Equal(frame.Append(nil, payload), data[:n]) {
 			t.Fatal("decode/encode mismatch")
 		}
 	})

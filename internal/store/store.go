@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"vdce/internal/frame"
 	"vdce/internal/obs"
 )
 
@@ -330,11 +331,11 @@ func tornTail(rest []byte, err error) bool {
 		return true
 	}
 	ce, ok := err.(*CorruptError)
-	if !ok || ce.Reason != "checksum" || len(rest) < frameHeader {
+	if !ok || ce.Reason != "checksum" || len(rest) < frame.Header {
 		return false
 	}
 	length := int(uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24)
-	return frameHeader+length == len(rest)
+	return frame.Header+length == len(rest)
 }
 
 // apply folds one record into the state. Unknown kinds are ignored.

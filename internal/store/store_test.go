@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"vdce/internal/frame"
 )
 
 var t0 = time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
@@ -140,7 +142,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := appendFrame(nil, []byte(`{"k":"submit","job":{"id":"job-99"}}`))
+	torn := frame.Append(nil, []byte(`{"k":"submit","job":{"id":"job-99"}}`))
 	if _, err := f.Write(torn[:len(torn)-5]); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestCorruptMidLogTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[frameHeader+2] ^= 0xff
+	data[frame.Header+2] ^= 0xff
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +350,7 @@ func TestOpenRejectsWildLength(t *testing.T) {
 	dir := t.TempDir()
 	// A frame declaring an absurd length followed by real bytes: never a
 	// torn tail, always corruption.
-	var hdr [frameHeader]byte
+	var hdr [frame.Header]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], MaxRecordSize+1)
 	data := append(hdr[:], make([]byte, 64)...)
 	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), data, 0o644); err != nil {

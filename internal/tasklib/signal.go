@@ -1,17 +1,11 @@
 package tasklib
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"vdce/internal/dsp"
 	"vdce/internal/repository"
 )
-
-func init() {
-	gob.Register([]dsp.Peak(nil))
-	gob.Register([]complex128(nil))
-}
 
 // registerSignalLibrary adds the signal-processing library: synthesize,
 // filter, transform, and analyze 1-D signals — the radar/sonar flavor of

@@ -506,6 +506,9 @@ func (env *Environment) shutdown(graceful bool) {
 	if env.pipe != nil {
 		env.pipe.stop()
 	}
+	if env.Engine != nil {
+		env.Engine.Close()
+	}
 	env.mu.Lock()
 	clients := env.remoteClients
 	env.remoteClients = nil
