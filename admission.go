@@ -107,9 +107,9 @@ func (e *QuotaError) Is(target error) bool { return target == ErrQuotaExceeded }
 // (q.ahead); the lagged top always beats every ahead owner, so the
 // winner is one peek. vtime only ever advances, so ahead owners it
 // overtakes migrate to lagged at most once per pop they earned —
-// amortized O(log owners). pickOwnerLinearLocked retains the pre-index
-// linear scan as the reference the property suite and the 10k-owner
-// bench compare against.
+// amortized O(log owners). The pre-index linear scan survives in the
+// tests as the reference the property suite and the 10k-owner bench
+// compare against.
 //
 // The queue also carries the per-owner quota ledger (queued
 // reservations, in-flight jobs, held hosts): eligibility for a pop
@@ -498,8 +498,8 @@ func (q *admitQueue) setParked(j *Job, parked bool) {
 }
 
 // The WFQ arbitration primitives, shared by pop (pickOwnerLocked), the
-// retained linear reference arbiter, and the position replay so the
-// three can never drift apart (pinned against each other by
+// linear reference arbiter in the tests, and the position replay so
+// the three can never drift apart (pinned against each other by
 // TestAdmitPositionPredictsPopOrder and the indexed-vs-linear
 // equivalence suite).
 
@@ -551,49 +551,19 @@ func (q *admitQueue) pickOwnerLocked() *ownerShare {
 	return best
 }
 
-// pickOwnerLinearLocked is the pre-index O(owners) arbiter, retained as
-// the reference implementation: the randomized equivalence suite drives
-// it and pickOwnerLocked from one op stream and asserts identical pop
-// order, and BenchmarkAdmission10kOwners uses it as the scaling
-// baseline. It maintains the same index/clock state so the two are
-// interchangeable mid-stream. Caller holds q.mu.
-func (q *admitQueue) pickOwnerLinearLocked() *ownerShare {
-	var best *ownerShare
-	var bestCharge float64
-	for _, os := range q.owners {
-		if !q.eligible(os) {
-			continue
-		}
-		charge := chargePoint(os.vfinish, q.vtime)
-		if best == nil || wfqWins(charge, os.name, bestCharge, best.name) {
-			best, bestCharge = os, charge
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	q.detachLocked(best)
-	q.vtime = bestCharge
-	best.vfinish = bestCharge + wfqCost(best.weight)
-	q.migrateLocked()
-	return best
-}
-
-// popOneLocked drains one job from the owner the arbiter selects,
-// charging the owner's in-flight ledger. The linear flag picks the
-// retained reference arbiter instead of the index (a flag, not a
-// function value, so the hot path does not allocate a method closure
-// per pop). Caller holds q.mu.
-func (q *admitQueue) popOneLocked(linear bool) *Job {
-	var os *ownerShare
-	if linear {
-		os = q.pickOwnerLinearLocked()
-	} else {
-		os = q.pickOwnerLocked()
-	}
+// popOneLocked drains one job from the owner the arbiter selects.
+// Caller holds q.mu.
+func (q *admitQueue) popOneLocked() *Job {
+	os := q.pickOwnerLocked()
 	if os == nil {
 		return nil
 	}
+	return q.takeHeadLocked(os)
+}
+
+// takeHeadLocked removes the picked owner's head job, charging the
+// owner's in-flight ledger. Caller holds q.mu.
+func (q *admitQueue) takeHeadLocked(os *ownerShare) *Job {
 	q.gen++
 	j := os.removeAt(0).job
 	os.reserved--
@@ -612,15 +582,7 @@ func (q *admitQueue) popOneLocked(linear bool) *Job {
 func (q *admitQueue) pop() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.popOneLocked(false)
-}
-
-// popLinear is pop arbitrated by the retained linear-scan reference.
-// Test and benchmark use only.
-func (q *admitQueue) popLinear() *Job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popOneLocked(true)
+	return q.popOneLocked()
 }
 
 // popBatch appends up to max fairly-arbitrated jobs to buf under one
@@ -631,7 +593,7 @@ func (q *admitQueue) popBatch(buf []*Job, max int) []*Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(buf) < max {
-		j := q.popOneLocked(false)
+		j := q.popOneLocked()
 		if j == nil {
 			break
 		}

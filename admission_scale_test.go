@@ -14,6 +14,45 @@ import (
 	"time"
 )
 
+// pickOwnerLinearLocked is the pre-index O(owners) arbiter, kept as the
+// reference implementation: the randomized equivalence suite drives
+// it and pickOwnerLocked from one op stream and asserts identical pop
+// order, and BenchmarkAdmission10kOwners uses it as the scaling
+// baseline. It maintains the same index/clock state so the two are
+// interchangeable mid-stream. Caller holds q.mu.
+func (q *admitQueue) pickOwnerLinearLocked() *ownerShare {
+	var best *ownerShare
+	var bestCharge float64
+	for _, os := range q.owners {
+		if !q.eligible(os) {
+			continue
+		}
+		charge := chargePoint(os.vfinish, q.vtime)
+		if best == nil || wfqWins(charge, os.name, bestCharge, best.name) {
+			best, bestCharge = os, charge
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	q.detachLocked(best)
+	q.vtime = bestCharge
+	best.vfinish = bestCharge + wfqCost(best.weight)
+	q.migrateLocked()
+	return best
+}
+
+// popLinear is pop arbitrated by the linear-scan reference.
+func (q *admitQueue) popLinear() *Job {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	os := q.pickOwnerLinearLocked()
+	if os == nil {
+		return nil
+	}
+	return q.takeHeadLocked(os)
+}
+
 // twinJob is one logical job realized as two *Job instances, one per
 // queue under comparison — pop and setParked mutate per-job fields
 // (usageCharged, hostParked), so the twin queues must never share an

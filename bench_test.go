@@ -1,5 +1,5 @@
-// One benchmark per experiment in the per-experiment index of DESIGN.md
-// (the paper's figures and claims), plus micro-benchmarks used as
+// One benchmark per experiment in the E1-E10 index of
+// internal/experiments/runner.go (the paper's figures and claims), plus micro-benchmarks used as
 // ablations for the design choices the scheduler relies on. Regenerate
 // EXPERIMENTS.md rows with:
 //
@@ -127,8 +127,8 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkLevelPriorityAblation compares the paper's level priority
-// against FIFO ordering on the same cluster — the design choice DESIGN.md
-// calls out (list scheduling priority).
+// against FIFO ordering on the same cluster — the list-scheduling
+// priority design choice.
 func BenchmarkLevelPriorityAblation(b *testing.B) {
 	for _, prio := range []struct {
 		name string
@@ -246,7 +246,8 @@ func BenchmarkKNearestAblation(b *testing.B) {
 }
 
 // BenchmarkBlendAblation sweeps the prediction model's measured-history
-// weight — the calibration design choice (DESIGN.md S5). It reports the
+// weight — the calibration design choice experiment E8
+// (internal/experiments/e8_e10.go) measures. It reports the
 // absolute prediction error against a synthetic ground truth where the
 // catalog over-estimates host speed by 2x.
 func BenchmarkBlendAblation(b *testing.B) {

@@ -1,6 +1,7 @@
-// Command vdce-bench runs the reproduction experiment suite (E1-E10 in
-// DESIGN.md) and prints each experiment's table. These are the rows
-// recorded in EXPERIMENTS.md.
+// Command vdce-bench runs the reproduction experiment suite (E1-E10,
+// indexed by experiments.All in internal/experiments/runner.go) and
+// prints each experiment's table. These are the rows recorded in
+// EXPERIMENTS.md.
 //
 //	vdce-bench            # full suite
 //	vdce-bench -run E2,E4 # selected experiments

@@ -109,39 +109,10 @@ func TestServerServesSubmissionsAndJobs(t *testing.T) {
 		t.Fatalf("submission returned no result: %v", result)
 	}
 
-	// The jobs endpoint shares the editor's login model.
-	unauth, err := http.Get(base + "/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	unauth.Body.Close()
-	if unauth.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated /jobs = %d, want 401", unauth.StatusCode)
-	}
-
-	// Authenticated, it reflects the executed submission.
-	req, err := http.NewRequest("GET", base+"/jobs", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var jobs struct {
-		Jobs   []map[string]any `json:"jobs"`
-		Counts map[string]int   `json:"counts"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs.Jobs) != 1 {
-		t.Fatalf("jobs endpoint lists %d jobs, want 1: %+v", len(jobs.Jobs), jobs)
-	}
-	if jobs.Counts["done"] != 1 {
-		t.Fatalf("job counts = %v, want one done", jobs.Counts)
+	// The job-control API reflects the executed submission.
+	count := do("GET", "/v1/jobs?state=done&limit=0", nil)
+	if total, _ := count["total"].(float64); total != 1 {
+		t.Fatalf("done jobs = %v, want 1", count)
 	}
 }
 

@@ -11,11 +11,9 @@
 // (GET /v1/jobs/{id}/events): queue position and state transitions are
 // reported as they arrive — zero status polls — and the command exits
 // non-zero if any submitted job is rejected, fails, or is canceled. A
-// dropped stream resumes from the last event cursor (Last-Event-ID);
-// -poll forces the legacy GET /v1/jobs/{id} polling watcher, which is
-// also the automatic fallback against servers without the streaming
-// endpoint. A per-owner quota rejection (HTTP 429) is rendered
-// distinctly — the server is healthy, the owner is over its cap.
+// dropped stream resumes from the last event cursor (Last-Event-ID). A
+// per-owner quota rejection (HTTP 429) is rendered distinctly — the
+// server is healthy, the owner is over its cap.
 // An overload shed (HTTP 503 with Retry-After, from the server's
 // admission control) is also distinct: the command waits out the
 // server's Retry-After hint once and retries; if the retry is shed too
@@ -87,7 +85,6 @@ func run(args []string, out io.Writer) error {
 	deadline := fs.Duration("deadline", 0, "job deadline from submission (0 = none)")
 	maxHosts := fs.Int("maxhosts", -1, "neighbor-site count k (-1 = server default)")
 	weight := fs.Int("weight", 0, "owner fair-share weight (0 = the account's default)")
-	poll := fs.Bool("poll", false, "watch jobs by polling GET /v1/jobs/{id} instead of subscribing to the event stream")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -139,7 +136,7 @@ func run(args []string, out io.Writer) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = outcome{idx: i, err: submitOne(*server, token, graph, body, *poll, say)}
+			results[i] = outcome{idx: i, err: submitOne(*server, token, graph, body, say)}
 		}(i)
 	}
 	wg.Wait()
@@ -162,7 +159,7 @@ func run(args []string, out io.Writer) error {
 // server's overload control, as opposed to the bare 503 of a
 // schedule-only server) is retried exactly once after waiting out the
 // server's hint; a second shed returns errShed.
-func submitOne(server, token string, graph *afg.Graph, body map[string]any, poll bool, say func(string, ...any)) error {
+func submitOne(server, token string, graph *afg.Graph, body map[string]any, say func(string, ...any)) error {
 	appID, err := importGraph(server, token, graph)
 	if err != nil {
 		return err
@@ -194,9 +191,6 @@ func submitOne(server, token string, graph *afg.Graph, body map[string]any, poll
 			}
 			prio, _ := job["priority"].(float64)
 			say("submitted %q as %s: job %s (priority %d)\n", graph.Name, appID, id, int(prio))
-			if poll {
-				return watchJob(server, token, id, say)
-			}
 			return watchJobEvents(server, token, id, say)
 		case http.StatusTooManyRequests:
 			// Per-owner quota rejection: render it distinctly from job
@@ -247,8 +241,7 @@ func retryAfterDelay(h string) time.Duration {
 // (GET /v1/jobs/{id}/events) and reports queue-position and state
 // transitions as the server pushes them — no status polling at all. A
 // dropped connection reconnects with Last-Event-ID so no transition is
-// lost; servers that do not stream (pre-events, schedule-only) drop the
-// watcher back to the polling path.
+// lost.
 func watchJobEvents(server, token, id string, say func(string, ...any)) error {
 	lastState, lastPos := "", -1
 	var cursor uint64
@@ -277,18 +270,12 @@ func watchJobEvents(server, token, id string, say func(string, ...any)) error {
 		case resp.StatusCode == http.StatusOK && streaming:
 			// Proceed below.
 		case resp.StatusCode == http.StatusNotFound && connected:
-			// Same bounded-history eviction race the polling watcher
-			// tolerates: the job existed and ran.
+			// The server retains a bounded job history; a terminal job can
+			// be evicted between reconnects. The final state is unknowable,
+			// but the job did exist and ran — not a failure.
 			resp.Body.Close()
 			say("  %s evicted from the server's job history before its final state was observed\n", id)
 			return nil
-		case resp.StatusCode == http.StatusNotFound,
-			resp.StatusCode == http.StatusMethodNotAllowed,
-			resp.StatusCode == http.StatusServiceUnavailable,
-			resp.StatusCode == http.StatusOK && !streaming:
-			// This server does not stream job events; poll instead.
-			resp.Body.Close()
-			return watchJob(server, token, id, say)
 		default:
 			var body map[string]any
 			_ = json.NewDecoder(resp.Body).Decode(&body)
@@ -343,8 +330,8 @@ func drainJobStream(r io.Reader, id string, cursor *uint64, lastState *string, l
 	return false, nil
 }
 
-// handleJobEvent reports one stream event's transition, mirroring the
-// polling watcher's output, and spots terminal states.
+// handleJobEvent reports one stream event's transition and spots
+// terminal states.
 func handleJobEvent(typ string, data []byte, id string, cursor *uint64, lastState *string, lastPos *int, say func(string, ...any)) (bool, error) {
 	var ev struct {
 		Cursor uint64 `json:"cursor"`
@@ -384,64 +371,6 @@ func handleJobEvent(typ string, data []byte, id string, cursor *uint64, lastStat
 		return true, fmt.Errorf("job %s ended %s: %s", id, state, ev.Job.Error)
 	}
 	return false, nil
-}
-
-// watchJob polls GET /v1/jobs/{id}, reporting queue-position and state
-// transitions until the job is terminal. Failed and canceled jobs are
-// errors.
-func watchJob(server, token, id string, say func(string, ...any)) error {
-	// Slow-start polling: quick enough to catch millisecond jobs, backing
-	// off toward a gentle cadence so -count watchers do not hammer the
-	// very server they are monitoring. A transition resets the pace.
-	const minPoll, maxPoll = 10 * time.Millisecond, 250 * time.Millisecond
-	poll := minPoll
-	lastState, lastPos := "", -1
-	for {
-		resp, code, err := request(server, token, "GET", "/v1/jobs/"+id, nil)
-		if err != nil {
-			return err
-		}
-		if code == http.StatusNotFound && lastState != "" {
-			// The server retains a bounded job history; a terminal job can
-			// be evicted between polls. The final state is unknowable, but
-			// the job did exist and ran — do not report it as a failure.
-			say("  %s evicted from the server's job history before its final state was observed\n", id)
-			return nil
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("GET /v1/jobs/%s: %d %v", id, code, resp)
-		}
-		job, _ := resp["job"].(map[string]any)
-		state, _ := job["state"].(string)
-		pos := 0
-		if p, ok := job["queue_position"].(float64); ok {
-			pos = int(p)
-		}
-		if state != lastState || pos != lastPos {
-			switch {
-			case state == services.JobStateQueued && pos > 0:
-				say("  %s %s (queue position %d)\n", id, state, pos)
-			default:
-				say("  %s %s\n", id, state)
-			}
-			lastState, lastPos = state, pos
-			poll = minPoll
-		}
-		switch state {
-		case services.JobStateDone:
-			return nil
-		case services.JobStateFailed, services.JobStateCanceled:
-			msg, _ := job["error"].(string)
-			return fmt.Errorf("job %s ended %s: %s", id, state, msg)
-		}
-		time.Sleep(poll)
-		if poll < maxPoll {
-			poll *= 2
-			if poll > maxPoll {
-				poll = maxPoll
-			}
-		}
-	}
 }
 
 // buildGraph resolves the submission source: a JSON file or a built-in.

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one runnable
 // experiment per figure and per quantitative claim of the paper, indexed
-// E1-E10 in DESIGN.md. Each experiment returns a printable Table whose
-// rows are also consumed by bench_test.go and cmd/vdce-bench, and whose
-// measured shapes are recorded in EXPERIMENTS.md.
+// E1-E10 by All in runner.go. Each experiment returns a printable Table
+// whose rows are also consumed by bench_test.go and cmd/vdce-bench, and
+// whose measured shapes are recorded in EXPERIMENTS.md.
 package experiments
 
 import (

@@ -6,8 +6,8 @@
 // editor, generalized to a protocol both tools speak.
 //
 //	GET    /v1/jobs             list jobs (filter: owner, state;
-//	                            paginate: cursor, limit — offset is a
-//	                            deprecated alias; limit=0 is count-only)
+//	                            paginate: cursor, limit; limit=0 is
+//	                            count-only)
 //	GET    /v1/jobs/{id}        one job's status
 //	GET    /v1/jobs/{id}/events one job's lifecycle as SSE (resume with
 //	                            Last-Event-ID; ends at the terminal event)
@@ -119,15 +119,16 @@ func DecodeCursor(token string) (Cursor, error) {
 // Source is the job store the API serves — implemented by
 // vdce.Environment.
 type Source interface {
-	// ListJobs returns statuses filtered by owner and state (empty
-	// strings match everything) in a stable, deterministic order.
-	ListJobs(owner, state string) []services.JobStatus
 	// ListJobsAfter returns up to limit filtered statuses strictly after
 	// the cursor position in the canonical (submit-time, then ID) order,
 	// and whether the page filled (more may remain). Implementations
 	// must be O(limit) in the board size, not O(board) — this is the
 	// pagination path that must stay flat on deep boards.
 	ListJobsAfter(owner, state string, after Cursor, limit int) (jobs []services.JobStatus, more bool)
+	// CountJobs returns how many jobs match the owner and state filters
+	// (empty strings match everything) — the count-only listing
+	// (limit=0), answered without materializing a row.
+	CountJobs(owner, state string) int
 	// Job returns one job's current status.
 	Job(id string) (services.JobStatus, bool)
 	// CancelJob cancels a queued or running job; canceling a terminal
@@ -135,7 +136,7 @@ type Source interface {
 	CancelJob(id string) error
 	// Owners returns every known owner's fair-share weight, quota
 	// limits, and live usage counters, sorted by owner name. The usage
-	// counters must come from the same ground truth ListJobs serves.
+	// counters must come from the same ground truth the listings serve.
 	// Callers must not retain or mutate the returned slice's backing
 	// array beyond the request.
 	Owners() []services.OwnerStatus
@@ -144,16 +145,6 @@ type Source interface {
 	// admission queue immediately and persisted when the environment is
 	// durable. An empty update is an error.
 	UpdateOwner(owner string, upd services.OwnerUpdate) (services.OwnerStatus, error)
-}
-
-// CountSource is the optional Source extension behind the count-only
-// listing (explicit limit=0): the filtered total without materializing
-// a single row. Sources backed by a counting store (the sharded job
-// board keeps per-state and per-owner tallies) answer in O(shards)
-// instead of building and discarding an O(board) status slice; sources
-// that do not implement it fall back to len(ListJobs).
-type CountSource interface {
-	CountJobs(owner, state string) int
 }
 
 // HostSource is the optional Source extension behind GET /v1/hosts:
@@ -293,20 +284,15 @@ func (c Config) auth(limiter *rateLimiter, h func(http.ResponseWriter, *http.Req
 }
 
 // listResponse is one GET /v1/jobs page. Cursor pages carry
-// next_cursor; deprecated offset pages carry total and offset; the
-// limit=0 count-only form carries total alone.
+// next_cursor; the limit=0 count-only form carries total alone.
 type listResponse struct {
 	Jobs  []services.JobStatus `json:"jobs"`
 	Limit int                  `json:"limit"`
 	// NextCursor resumes the listing strictly after the last returned
 	// row; empty when the listing is exhausted. Cursor pages only.
 	NextCursor string `json:"next_cursor,omitempty"`
-	// Total is the filtered job count before pagination — offset pages
-	// and limit=0 count-only responses (computing it walks the whole
-	// filtered set, which is exactly why the cursor path omits it).
+	// Total is the filtered job count — limit=0 count-only responses.
 	Total *int `json:"total,omitempty"`
-	// Offset echoes the deprecated offset parameter when used.
-	Offset *int `json:"offset,omitempty"`
 }
 
 // queryInt parses a non-negative integer query parameter.
@@ -322,14 +308,14 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
-// handleList serves GET /v1/jobs three ways, in precedence order:
+// handleList serves GET /v1/jobs two ways:
 //
 //   - limit=0: count-only — zero rows plus the filtered total. The
 //     explicit contract for "how many", with none of the rows.
-//   - offset present: the deprecated offset page (O(board) on the
-//     server; answers carry a Deprecation header).
 //   - otherwise: cursor (keyset) pagination — pass next_cursor back as
 //     cursor to resume; O(page) at any depth.
+//
+// The retired offset parameter answers 400.
 func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) {
 	q := r.URL.Query()
 	limit, err := queryInt(r, "limit", DefaultLimit)
@@ -349,21 +335,16 @@ func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) 
 	}
 	state := q.Get("state")
 
-	if q.Has("cursor") && q.Has("offset") {
+	if q.Has("offset") {
 		writeErr(w, http.StatusBadRequest,
-			errors.New("jobsapi: cursor and offset are mutually exclusive"))
+			errors.New("jobsapi: offset pagination was removed; follow next_cursor with the cursor parameter"))
 		return
 	}
 
 	// Count-only: an explicit limit=0 returns zero rows and the filtered
 	// total, regardless of pagination mode.
 	if limit == 0 && q.Get("limit") != "" {
-		var total int
-		if cs, ok := c.Source.(CountSource); ok {
-			total = cs.CountJobs(owner, state)
-		} else {
-			total = len(c.Source.ListJobs(owner, state))
-		}
+		total := c.Source.CountJobs(owner, state)
 		writeJSON(w, http.StatusOK, listResponse{
 			Jobs: []services.JobStatus{}, Limit: 0, Total: &total,
 		})
@@ -373,11 +354,6 @@ func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) 
 		// limit explicitly absent cannot reach here (default applies);
 		// guard against a Source misuse all the same.
 		limit = DefaultLimit
-	}
-
-	if q.Has("offset") {
-		c.handleListOffset(w, r, owner, state, limit)
-		return
 	}
 
 	after, err := DecodeCursor(q.Get("cursor"))
@@ -394,31 +370,6 @@ func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) 
 		resp.NextCursor = CursorOf(jobs[len(jobs)-1]).Encode()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleListOffset is the deprecated offset pagination path, kept as an
-// alias for pre-cursor clients. It materializes the whole filtered
-// listing per request — O(board) however deep the page — which is why
-// new clients should follow next_cursor instead.
-func (c Config) handleListOffset(w http.ResponseWriter, r *http.Request, owner, state string, limit int) {
-	offset, err := queryInt(r, "offset", 0)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	jobs := c.Source.ListJobs(owner, state)
-	total := len(jobs)
-	if offset > total {
-		offset = total
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	w.Header().Set("Deprecation", "true")
-	writeJSON(w, http.StatusOK, listResponse{
-		Jobs: jobs[offset:end], Limit: limit, Total: &total, Offset: &offset,
-	})
 }
 
 // handleOwners serves GET /v1/owners: each owner's fair-share weight,

@@ -22,21 +22,22 @@ type fakeSource struct {
 	updates map[string]services.OwnerUpdate
 }
 
-func (f *fakeSource) ListJobs(owner, state string) []services.JobStatus {
+// listJobs is the fixture's canonical-order listing.
+func (f *fakeSource) listJobs(owner, state string) []services.JobStatus {
 	out := make([]services.JobStatus, 0, len(f.jobs))
 	for _, s := range f.jobs {
 		if s.Matches(owner, state) {
 			out = append(out, s)
 		}
 	}
-	services.SortJobs(out)
+	sort.Slice(out, func(i, j int) bool { return CursorOf(out[i]).Less(CursorOf(out[j])) })
 	return out
 }
 
-// ListJobsAfter is the keyset page over the same canonical order
-// ListJobs serves (O(n) is fine for a test fixture).
+// ListJobsAfter is the keyset page over the fixture's canonical order
+// (O(n) is fine for a test fixture).
 func (f *fakeSource) ListJobsAfter(owner, state string, after Cursor, limit int) ([]services.JobStatus, bool) {
-	all := f.ListJobs(owner, state)
+	all := f.listJobs(owner, state)
 	out := make([]services.JobStatus, 0, limit)
 	for _, s := range all {
 		if !after.Less(CursorOf(s)) {
@@ -48,6 +49,10 @@ func (f *fakeSource) ListJobsAfter(owner, state string, after Cursor, limit int)
 		out = append(out, s)
 	}
 	return out, false
+}
+
+func (f *fakeSource) CountJobs(owner, state string) int {
+	return len(f.listJobs(owner, state))
 }
 
 func (f *fakeSource) Job(id string) (services.JobStatus, bool) {
@@ -208,23 +213,6 @@ func TestListPaginationAndFilters(t *testing.T) {
 		}
 	}
 
-	// Deprecated offset pages still tile identically and say so.
-	seen = seen[:0]
-	for offset := 0; offset < 10; offset += 3 {
-		out, _ := call(t, ts, "GET", fmt.Sprintf("/v1/jobs?limit=3&offset=%d", offset), "ana")
-		for _, item := range out["jobs"].([]any) {
-			seen = append(seen, item.(map[string]any)["id"].(string))
-		}
-	}
-	if len(seen) != 10 {
-		t.Fatalf("offset pages covered %d jobs, want 10: %v", len(seen), seen)
-	}
-	for i, id := range seen {
-		if want := fmt.Sprintf("job-%d", i+1); id != want {
-			t.Fatalf("offset page order[%d] = %s, want %s", i, id, want)
-		}
-	}
-
 	// Explicit limit=0 is the count-only idiom: no rows, just Total.
 	out, _ = call(t, ts, "GET", "/v1/jobs?limit=0", "ana")
 	if rows := out["jobs"].([]any); len(rows) != 0 {
@@ -234,17 +222,15 @@ func TestListPaginationAndFilters(t *testing.T) {
 		t.Fatalf("limit=0 total = %v, want 10", total)
 	}
 
-	// Offset past the end is an empty page, not an error.
-	out, code = call(t, ts, "GET", "/v1/jobs?offset=99", "ana")
-	if code != http.StatusOK || len(out["jobs"].([]any)) != 0 {
-		t.Fatalf("past-end page = %d %v", code, out)
+	// Offset pagination is gone: any offset answers 400 pointing at the
+	// cursor parameter.
+	out, code = call(t, ts, "GET", "/v1/jobs?offset=3", "ana")
+	if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "cursor") {
+		t.Fatalf("offset request = %d %v, want 400 naming cursor", code, out)
 	}
 	// Bad pagination values are rejected.
 	if _, code := call(t, ts, "GET", "/v1/jobs?limit=-1", "ana"); code != http.StatusBadRequest {
 		t.Fatalf("negative limit = %d, want 400", code)
-	}
-	if _, code := call(t, ts, "GET", "/v1/jobs?offset=x", "ana"); code != http.StatusBadRequest {
-		t.Fatalf("bad offset = %d, want 400", code)
 	}
 	if _, code := call(t, ts, "GET", fmt.Sprintf("/v1/jobs?limit=%d", MaxLimit+1), "ana"); code != http.StatusBadRequest {
 		t.Fatalf("limit over MaxLimit = %d, want 400 (not a silent clamp)", code)

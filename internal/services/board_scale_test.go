@@ -111,8 +111,8 @@ func TestJobBoardAggregatesMatchRecount(t *testing.T) {
 
 // TestJobBoardCountFilteredMatchesList pins CountFiltered (the
 // count-only listing backend) to len(ListFiltered) across every filter
-// shape, including the owner+in-flight-state combinations that fall
-// back to a snapshot scan.
+// shape, including the owner+scheduling/running pairs the per-owner
+// running count splits out of InFlight.
 func TestJobBoardCountFilteredMatchesList(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	b := NewJobBoard()
@@ -262,9 +262,9 @@ func getMillionBoard() (*JobBoard, []string) {
 
 // BenchmarkJobBoardMillion measures the board at a million retained
 // jobs. The update/list sub-benchmarks run writes while a background
-// lister loops, which on the old single-mutex board serialized into
-// lock-convoy latencies; on the sharded board a write touches 1/32 of
-// the board and listings read immutable snapshots lock-free.
+// lister loops: an update of a known row touches only its shard, and a
+// listing holds the key index's read lock for one 256-key copy at a
+// time, so publishes do not queue behind listings.
 func BenchmarkJobBoardMillion(b *testing.B) {
 	b.Run("update", func(b *testing.B) {
 		board, _ := getMillionBoard()

@@ -1,9 +1,10 @@
 package services
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -143,18 +144,6 @@ func (s JobStatus) Matches(owner, state string) bool {
 	return true
 }
 
-// SortJobs orders statuses stably by (submission time, then ID), the
-// canonical listing order of the job-control API — deterministic, so
-// paginated clients never see entries shift between pages.
-func SortJobs(jobs []JobStatus) {
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if !jobs[i].SubmittedAt.Equal(jobs[j].SubmittedAt) {
-			return jobs[i].SubmittedAt.Before(jobs[j].SubmittedAt)
-		}
-		return jobs[i].ID < jobs[j].ID
-	})
-}
-
 // OwnerUsage is one owner's live aggregate over the job board: how
 // many jobs sit in each phase of the pipeline and how many testbed
 // hosts the owner's running placements hold. It is the ground truth
@@ -223,32 +212,51 @@ func (u OwnerUpdate) Empty() bool {
 // padded-ish shard structs stays trivial.
 const boardShards = 32
 
+// boardChunk is how many index keys a listing copies per read-lock
+// hold: long enough to amortize the binary search, short enough that a
+// submit inserting its key never waits behind a whole-board walk.
+const boardChunk = 256
+
+// JobKey is a row's position in the canonical (submission time, then
+// ID) listing order: At is SubmittedAt in Unix nanoseconds.
+type JobKey struct {
+	At int64
+	ID string
+}
+
+// Less orders keys canonically.
+func (k JobKey) Less(o JobKey) bool {
+	if k.At != o.At {
+		return k.At < o.At
+	}
+	return k.ID < o.ID
+}
+
+// keyOf returns the index key of a row.
+func keyOf(s JobStatus) JobKey { return JobKey{At: s.SubmittedAt.UnixNano(), ID: s.ID} }
+
 // JobBoard is the monitoring view of the submission pipeline: the
 // current status of every job plus per-state counters. It is safe for
 // concurrent use by the pipeline workers and monitoring readers.
 //
-// The board is sharded by job-ID hash so submit/terminalize publishes
-// and monitoring reads stop serializing on one lock: each shard has its
-// own mutex, rows, and incrementally maintained per-state and per-owner
-// aggregates, plus a generation-validated copy-on-write snapshot of its
-// rows (the PR 3 pattern) that listing reads share without holding any
-// lock. Writers bump the shard generation; a read finding the cached
-// snapshot's generation current reuses it, so a burst of listings over
-// an unchanged board sorts nothing, and a write only invalidates 1/32
-// of the board.
+// Rows and their incrementally maintained per-state and per-owner
+// aggregates live in 32 job-ID hash shards, so publishes and count
+// readers do not serialize on one lock. The canonical listing order
+// lives in exactly one place: keys, one sorted slice under one RWMutex.
+// Only a row's first Update (or a change of its submission time) writes
+// the index; new keys land at the tail. A key is stale when its row is
+// gone or the row's SubmittedAt moved: listings skip stale keys and
+// Evict drops the ones it passes.
 type JobBoard struct {
 	shards [boardShards]boardShard
-	// snapHits/snapRebuilds count snapshot reads served from the cache
-	// versus rebuilt — the observability of the sharded read path.
-	snapHits     atomic.Uint64
-	snapRebuilds atomic.Uint64
+	mu     sync.RWMutex
+	keys   []JobKey
 }
 
 // boardShard is one hash shard: rows plus aggregates under a private
-// mutex, and the lock-free row snapshot readers share.
+// mutex.
 type boardShard struct {
 	mu   sync.Mutex
-	gen  atomic.Uint64
 	jobs map[string]JobStatus
 	// counts tallies rows by state, maintained on every write, so
 	// Counts/InFlight/CountFiltered never scan rows.
@@ -257,30 +265,24 @@ type boardShard struct {
 	// maintained on every write; owners whose last retained row leaves
 	// the shard are deleted, so transient owners do not accrete.
 	usage map[string]ownerAgg
-	snap  atomic.Pointer[boardSnap]
 }
 
 // ownerAgg is one owner's aggregate within one shard: the public usage
-// counters plus the latest-submitted retained row's share weight. The
-// weight is what lets /v1/owners keep reporting an owner's
-// last-submitted weight after the admission queue pruned the drained
-// owner — the board rows are the surviving record, and they are bounded
-// by retention. lastAt/lastID order "latest" by the canonical
+// counters, the running subset of InFlight (so CountFiltered is exact
+// for every owner+state pair), and the latest-submitted retained row's
+// share weight. The weight is what lets /v1/owners keep reporting an
+// owner's last-submitted weight after the admission queue pruned the
+// drained owner — the board rows are the surviving record, and they are
+// bounded by retention. lastAt/lastID order "latest" by the canonical
 // (SubmittedAt, ID) job order; if the latest row itself is evicted the
 // weight sticks at the last value seen, which is still the latest
 // submission the board knew about.
 type ownerAgg struct {
-	usage  OwnerUsage
-	lastAt time.Time
-	lastID string
-	weight int
-}
-
-// boardSnap is one shard's immutable published row set, in canonical
-// (SubmittedAt, ID) order, valid while gen matches the shard's.
-type boardSnap struct {
-	gen  uint64
-	rows []JobStatus
+	usage   OwnerUsage
+	running int
+	lastAt  time.Time
+	lastID  string
+	weight  int
 }
 
 // NewJobBoard returns an empty board.
@@ -321,8 +323,11 @@ func (sh *boardShard) apply(s JobStatus, sign int) {
 	switch s.State {
 	case JobStateQueued:
 		u.Queued += sign
-	case JobStateScheduling, JobStateRunning:
+	case JobStateScheduling:
 		u.InFlight += sign
+	case JobStateRunning:
+		u.InFlight += sign
+		agg.running += sign
 	case JobStateDone:
 		u.Done += sign
 	case JobStateFailed:
@@ -343,28 +348,63 @@ func (sh *boardShard) apply(s JobStatus, sign int) {
 	sh.usage[s.Owner] = agg
 }
 
-// Update records the latest status of a job, inserting it on first sight.
+// Update records the latest status of a job, inserting it on first
+// sight. A terminal row is never replaced by a non-terminal one: the
+// pipeline snapshots a status and writes it in two steps, so a late
+// queued snapshot must not resurrect a job a racing Cancel already
+// terminalized.
 func (b *JobBoard) Update(s JobStatus) {
 	sh := b.shard(s.ID)
 	sh.mu.Lock()
-	if old, ok := sh.jobs[s.ID]; ok {
+	old, ok := sh.jobs[s.ID]
+	if ok && old.Terminal() && !s.Terminal() {
+		sh.mu.Unlock()
+		return
+	}
+	if ok {
 		sh.apply(old, -1)
 	}
 	sh.jobs[s.ID] = s
 	sh.apply(s, +1)
-	sh.gen.Add(1)
 	sh.mu.Unlock()
+	// The row is stored before its key is indexed, and Evict checks rows
+	// under the index lock, so a key is never dropped for a row that is
+	// already back.
+	if k := keyOf(s); !ok || keyOf(old) != k {
+		b.index(k)
+	}
 }
 
-// Delete removes a job from the board (retention eviction). Unknown
-// IDs are a no-op.
+// index inserts a key into the canonical order unless it is present.
+func (b *JobBoard) index(k JobKey) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := len(b.keys)
+	if n == 0 || b.keys[n-1].Less(k) {
+		b.keys = append(b.keys, k)
+		return
+	}
+	i := b.search(k)
+	if b.keys[i] == k {
+		return
+	}
+	b.keys = slices.Insert(b.keys, i, k)
+}
+
+// search returns the index of the first key not below k. Caller holds
+// b.mu.
+func (b *JobBoard) search(k JobKey) int {
+	return sort.Search(len(b.keys), func(i int) bool { return !b.keys[i].Less(k) })
+}
+
+// Delete removes a job from the board. Unknown IDs are a no-op. The
+// row's index key stays behind as a stale key until Evict passes it.
 func (b *JobBoard) Delete(id string) {
 	sh := b.shard(id)
 	sh.mu.Lock()
 	if old, ok := sh.jobs[id]; ok {
 		delete(sh.jobs, id)
 		sh.apply(old, -1)
-		sh.gen.Add(1)
 	}
 	sh.mu.Unlock()
 }
@@ -378,30 +418,75 @@ func (b *JobBoard) Get(id string) (JobStatus, bool) {
 	return s, ok
 }
 
-// rows returns the shard's current sorted row snapshot, rebuilding it
-// only when a write invalidated the cached one. The returned slice is
-// immutable and shared: callers read, never mutate.
-func (sh *boardShard) rows(b *JobBoard) []JobStatus {
-	if s := sh.snap.Load(); s != nil && s.gen == sh.gen.Load() {
-		b.snapHits.Add(1)
-		return s.rows
+// walk calls visit on every live row strictly after `after` in
+// canonical order until visit returns false. It copies boardChunk keys
+// per read-lock hold and reads the rows outside it, so visit may take
+// any lock and a first publish waits for at most one key copy.
+func (b *JobBoard) walk(after JobKey, visit func(JobStatus) bool) {
+	var buf [boardChunk]JobKey
+	for {
+		b.mu.RLock()
+		i := b.search(after)
+		if i < len(b.keys) && b.keys[i] == after {
+			i++
+		}
+		n := copy(buf[:], b.keys[i:])
+		done := i+n == len(b.keys)
+		b.mu.RUnlock()
+		for _, k := range buf[:n] {
+			if s, ok := b.Get(k.ID); ok && keyOf(s) == k && !visit(s) {
+				return
+			}
+		}
+		if done {
+			return
+		}
+		after = buf[n-1]
 	}
-	sh.mu.Lock()
-	g := sh.gen.Load()
-	if s := sh.snap.Load(); s != nil && s.gen == g {
-		sh.mu.Unlock()
-		b.snapHits.Add(1)
-		return s.rows
+}
+
+// boardStart sorts before every key.
+var boardStart = JobKey{At: math.MinInt64}
+
+// Page returns up to limit rows strictly after `after` in canonical
+// order, plus whether more follow. keep filters each row and may
+// replace it (the pipeline swaps in a fresher status). Cost is
+// O(log n) to find the resume point plus the rows the page scans —
+// independent of how deep into the board the page sits.
+func (b *JobBoard) Page(after JobKey, limit int, keep func(JobStatus) (JobStatus, bool)) (out []JobStatus, more bool) {
+	if limit <= 0 {
+		return nil, false
 	}
-	rows := make([]JobStatus, 0, len(sh.jobs))
-	for _, s := range sh.jobs {
-		rows = append(rows, s)
-	}
-	SortJobs(rows)
-	sh.snap.Store(&boardSnap{gen: g, rows: rows})
-	sh.mu.Unlock()
-	b.snapRebuilds.Add(1)
-	return rows
+	out = make([]JobStatus, 0, limit)
+	b.walk(after, func(s JobStatus) bool {
+		s, ok := keep(s)
+		if !ok {
+			return true
+		}
+		if len(out) == limit {
+			// A row beyond the page proves there is more; it is re-served
+			// as the first row of the next page.
+			more = true
+			return false
+		}
+		out = append(out, s)
+		return true
+	})
+	return out, more
+}
+
+// Select returns every row keep accepts (keep may replace it), in
+// canonical order. size presizes the result; pass the matching
+// CountFiltered.
+func (b *JobBoard) Select(size int, keep func(JobStatus) (JobStatus, bool)) []JobStatus {
+	out := make([]JobStatus, 0, size)
+	b.walk(boardStart, func(s JobStatus) bool {
+		if s, ok := keep(s); ok {
+			out = append(out, s)
+		}
+		return true
+	})
+	return out
 }
 
 // List returns every job status in stable (submission time, then ID)
@@ -413,19 +498,52 @@ func (b *JobBoard) List() []JobStatus {
 // ListFiltered returns the job statuses matching the owner and state
 // filters (empty strings match everything), in stable (submission time,
 // then ID) order — the deterministic base the job-control API paginates
-// over. The scan walks the shards' immutable snapshots, so it holds no
-// lock while filtering and merging and never blocks a publish.
+// over.
 func (b *JobBoard) ListFiltered(owner, state string) []JobStatus {
-	var out []JobStatus
-	for i := range b.shards {
-		for _, s := range b.shards[i].rows(b) {
-			if s.Matches(owner, state) {
-				out = append(out, s)
-			}
-		}
+	return b.Select(b.CountFiltered(owner, state), func(s JobStatus) (JobStatus, bool) {
+		return s, s.Matches(owner, state)
+	})
+}
+
+// Evict deletes the oldest terminal rows until at most max remain,
+// dropping the stale keys it passes, and returns the evicted IDs.
+// Non-terminal rows are never evicted. It scans from the head of the
+// index and compacts only the prefix it scanned: O(evicted + live rows
+// ahead of them), never O(retained).
+func (b *JobBoard) Evict(max int) []string {
+	if b.Len() <= max {
+		return nil
 	}
-	SortJobs(out)
-	return out
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	// Re-count under the index lock so concurrent Evicts do not both
+	// evict for the same excess.
+	over := b.Len() - max
+	var evicted []string
+	kept, i := 0, 0
+	for ; i < len(b.keys) && len(evicted) < over; i++ {
+		k := b.keys[i]
+		sh := b.shard(k.ID)
+		sh.mu.Lock()
+		switch s, ok := sh.jobs[k.ID]; {
+		case !ok || keyOf(s) != k:
+			// Stale: dropped.
+		case s.Terminal():
+			delete(sh.jobs, k.ID)
+			sh.apply(s, -1)
+			evicted = append(evicted, k.ID)
+		default:
+			b.keys[kept] = k
+			kept++
+		}
+		sh.mu.Unlock()
+	}
+	// Slide the kept keys to the end of the scanned prefix and drop its
+	// head; the rest of the index does not move.
+	copy(b.keys[i-kept:i], b.keys[:kept])
+	clear(b.keys[:i-kept])
+	b.keys = b.keys[i-kept:]
+	return evicted
 }
 
 // OwnerUsages aggregates the board by owner: per-phase job counts and
@@ -497,89 +615,48 @@ func (b *JobBoard) Counts() map[string]int {
 
 // CountFiltered returns how many retained rows match the owner and
 // state filters — the count-only listing (limit=0) without
-// materializing a single row. Unfiltered and single-filter counts come
-// straight from the incremental aggregates; the owner+state combination
-// falls back to a snapshot scan only for the two states the aggregates
-// merge (scheduling/running).
+// materializing a single row. Every filter pair is answered exactly
+// from the incremental aggregates in O(shards).
 func (b *JobBoard) CountFiltered(owner, state string) int {
-	if owner == "" {
-		if state == "" {
-			n := 0
-			for i := range b.shards {
-				sh := &b.shards[i]
-				sh.mu.Lock()
-				for _, c := range sh.counts {
-					n += c
-				}
-				sh.mu.Unlock()
-			}
-			return n
-		}
-		n := 0
-		for i := range b.shards {
-			sh := &b.shards[i]
-			sh.mu.Lock()
-			n += sh.counts[state]
-			sh.mu.Unlock()
-		}
-		return n
-	}
-	if state == "" {
-		n := 0
-		for i := range b.shards {
-			sh := &b.shards[i]
-			sh.mu.Lock()
-			if agg, ok := sh.usage[owner]; ok {
-				n += agg.usage.Total
-			}
-			sh.mu.Unlock()
-		}
-		return n
-	}
-	perState := func(u OwnerUsage) (int, bool) {
-		switch state {
-		case JobStateQueued:
-			return u.Queued, true
-		case JobStateDone:
-			return u.Done, true
-		case JobStateFailed:
-			return u.Failed, true
-		case JobStateCanceled:
-			return u.Canceled, true
-		}
-		return 0, false
-	}
 	n := 0
-	exact := true
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.Lock()
-		if agg, ok := sh.usage[owner]; ok {
-			c, ok := perState(agg.usage)
-			if !ok {
-				exact = false
+		switch {
+		case owner == "" && state == "":
+			for _, c := range sh.counts {
+				n += c
 			}
-			n += c
+		case owner == "":
+			n += sh.counts[state]
+		default:
+			n += sh.usage[owner].count(state)
 		}
 		sh.mu.Unlock()
-		if !exact {
-			break
-		}
-	}
-	if exact {
-		return n
-	}
-	// scheduling/running share one aggregate counter; count those the
-	// slow way, over the lock-free snapshots.
-	n = 0
-	for i := range b.shards {
-		for _, s := range b.shards[i].rows(b) {
-			if s.Matches(owner, state) {
-				n++
-			}
-		}
 	}
 	return n
+}
+
+// count returns how many of the owner's rows in one shard are in state
+// ("" = all).
+func (a ownerAgg) count(state string) int {
+	switch state {
+	case "":
+		return a.usage.Total
+	case JobStateQueued:
+		return a.usage.Queued
+	case JobStateScheduling:
+		return a.usage.InFlight - a.running
+	case JobStateRunning:
+		return a.running
+	case JobStateDone:
+		return a.usage.Done
+	case JobStateFailed:
+		return a.usage.Failed
+	case JobStateCanceled:
+		return a.usage.Canceled
+	}
+	return 0
 }
 
 // InFlight returns how many jobs have been admitted but not finished.
@@ -597,13 +674,6 @@ func (b *JobBoard) InFlight() int {
 // Len returns how many rows the board retains.
 func (b *JobBoard) Len() int {
 	return b.CountFiltered("", "")
-}
-
-// SnapshotStats reports how many shard-snapshot reads were served from
-// the generation-validated cache versus rebuilt after a write —
-// exported for the vdce_board_snapshots_total series.
-func (b *JobBoard) SnapshotStats() (hits, rebuilds uint64) {
-	return b.snapHits.Load(), b.snapRebuilds.Load()
 }
 
 // States lists the state names present on the board, sorted — a

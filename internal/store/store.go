@@ -168,6 +168,9 @@ type Store struct {
 	appends    int
 	compacting bool
 	closed     bool
+	// compactWG tracks the background compaction; Close and Abandon
+	// wait for it, so no file operation outlives the store.
+	compactWG sync.WaitGroup
 
 	// recovered is the deep copy of the state as of Open, handed to the
 	// boot path; the live mirror keeps evolving underneath it.
@@ -459,10 +462,12 @@ func (s *Store) append(rec record) error {
 	compact := s.appends >= s.opt.CompactEvery && !s.compacting
 	if compact {
 		s.compacting = true
+		s.compactWG.Add(1)
 	}
 	s.mu.Unlock()
 	if compact {
 		go func() {
+			defer s.compactWG.Done()
 			defer func() {
 				s.mu.Lock()
 				s.compacting = false
@@ -637,6 +642,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	s.compactWG.Wait()
 	werr := s.w.close()
 	if cerr != nil {
 		return cerr
@@ -652,5 +658,6 @@ func (s *Store) Abandon() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	s.compactWG.Wait()
 	return s.w.close()
 }

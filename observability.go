@@ -129,17 +129,9 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			emit(float64(pipe.admit.pruneCount()))
 		})
 	reg.GaugeFunc("vdce_board_jobs",
-		"Rows the sharded job board retains.", nil,
+		"Rows the job board retains.", nil,
 		func(emit func(v float64, labelVals ...string)) {
 			emit(float64(env.Board.Len()))
-		})
-	reg.CounterFunc("vdce_board_snapshots_total",
-		"Board shard-snapshot reads, by result: served from the generation cache or rebuilt after a write.",
-		[]string{"result"},
-		func(emit func(v float64, labelVals ...string)) {
-			hits, rebuilds := env.Board.SnapshotStats()
-			emit(float64(hits), "hit")
-			emit(float64(rebuilds), "rebuild")
 		})
 	reg.GaugeFunc("vdce_jobs_inflight",
 		"Admitted jobs not yet terminal (board view).", nil,

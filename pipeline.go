@@ -935,9 +935,12 @@ type pipeline struct {
 	mu       sync.Mutex
 	nextID   int
 	nextHome int
-	jobs     []*Job          // every retained job, in submission order
-	byID     map[string]*Job // retained jobs indexed for the job API
-	closed   bool
+	// byID holds the handles of the jobs the board retains: live jobs,
+	// and terminal jobs until retention evicts their rows (their traces
+	// stay served until then). The board's key index is the only
+	// canonical order.
+	byID   map[string]*Job
+	closed bool
 }
 
 // siteSvc is one home site's resolved scheduling services.
@@ -1186,10 +1189,8 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			}
 			adopt = append(adopt, job)
 		}
-		p.jobs = append(p.jobs, job)
 		p.byID[job.ID] = job
 	}
-	sort.Slice(p.jobs, func(i, j int) bool { return canonicalBefore(p.jobs[i], p.jobs[j]) })
 	sort.Slice(adopt, func(i, j int) bool { return canonicalBefore(adopt[i], adopt[j]) })
 	p.nextID = rs.MaxJobSeq
 	return adopt
@@ -1341,26 +1342,18 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	job.home = spec.home
 	p.nextID++
 	job.ID = fmt.Sprintf("job-%d", p.nextID)
-	// Stamp the submission time under p.mu so p.jobs stays sorted in the
-	// canonical (submitted, ID) listing order: two concurrent submits
-	// cannot observe inverted clocks, and the insert below only has to
-	// bubble past timestamp ties (where string ID order, e.g. "job-10" <
-	// "job-9", can disagree with assignment order). Cursor pagination
-	// binary-searches this order.
+	// Stamp the submission time under p.mu, in ID order, so the board's
+	// key index almost always receives a new job's key at its tail.
 	now := time.Now()
 	job.submitted, job.enqueued = now, now
 	job.mu.Lock()
 	job.stampLocked(services.PhaseSubmitted, "", now)
 	job.mu.Unlock()
-	p.jobs = append(p.jobs, job)
-	for i := len(p.jobs) - 1; i > 0 && canonicalBefore(p.jobs[i], p.jobs[i-1]); i-- {
-		p.jobs[i], p.jobs[i-1] = p.jobs[i-1], p.jobs[i]
-	}
 	p.byID[job.ID] = job
 	p.mu.Unlock()
 	p.persistSubmitted(job)
-	p.pruneRetained()
 	job.publish()
+	p.pruneRetained()
 	p.gauge()
 	if !preSlot {
 		// Reserve a queue slot (backpressure), then enqueue. The job is
@@ -1818,33 +1811,20 @@ func (p *pipeline) stop() {
 }
 
 // pruneRetained evicts the oldest terminal jobs beyond the retention
-// cap, from both the pipeline's registry and the job board, so a
+// cap, from both the job board and the handle registry, so a
 // long-running server does not accumulate finished jobs forever.
 // In-flight jobs are never evicted.
 func (p *pipeline) pruneRetained() {
-	var evicted []string
+	evicted := p.env.Board.Evict(p.cfg.MaxRetainedJobs)
+	if len(evicted) == 0 {
+		return
+	}
 	p.mu.Lock()
-	over := len(p.jobs) - p.cfg.MaxRetainedJobs
-	if over > 0 {
-		kept := make([]*Job, 0, len(p.jobs))
-		for _, j := range p.jobs {
-			if over > 0 {
-				select {
-				case <-j.done:
-					evicted = append(evicted, j.ID)
-					delete(p.byID, j.ID)
-					over--
-					continue
-				default:
-				}
-			}
-			kept = append(kept, j)
-		}
-		p.jobs = kept
+	for _, id := range evicted {
+		delete(p.byID, id)
 	}
 	p.mu.Unlock()
 	for _, id := range evicted {
-		p.env.Board.Delete(id)
 		if p.store != nil {
 			// Deletion records keep the durable log's mirror bounded by the
 			// same retention policy as the in-memory board.
@@ -1855,10 +1835,7 @@ func (p *pipeline) pruneRetained() {
 
 // allSettled reports whether every admitted job is terminal.
 func (p *pipeline) allSettled() bool {
-	p.mu.Lock()
-	jobs := append([]*Job(nil), p.jobs...)
-	p.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range p.handles() {
 		select {
 		case <-j.done:
 		default:
@@ -1876,18 +1853,19 @@ func (p *pipeline) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// snapshot returns every retained job handle in submission order.
-func (p *pipeline) snapshot() []*Job {
+// handles returns every retained job handle, in no particular order.
+func (p *pipeline) handles() []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]*Job(nil), p.jobs...)
+	out := make([]*Job, 0, len(p.byID))
+	for _, j := range p.byID {
+		out = append(out, j)
+	}
+	return out
 }
 
-// canonicalBefore orders job handles exactly like services.SortJobs
-// orders their statuses: (submission time, then ID string). submit()
-// maintains p.jobs in this order so cursor pagination can binary-search
-// it; both fields are immutable after registration, so no job lock is
-// needed.
+// canonicalBefore orders job handles like the board's key index:
+// (submission time, then ID string).
 func canonicalBefore(a, b *Job) bool {
 	if !a.submitted.Equal(b.submitted) {
 		return a.submitted.Before(b.submitted)
@@ -1895,62 +1873,31 @@ func canonicalBefore(a, b *Job) bool {
 	return a.ID < b.ID
 }
 
-// pageAfter returns up to limit job statuses matching the owner/state
-// filters whose cursor strictly follows after, in canonical order, plus
-// whether more matching rows may follow. Cost is O(log n) to locate the
-// resume point plus O(rows scanned for this page) — independent of how
-// deep into the board the page sits, unlike offset pagination which
-// materializes every preceding row.
-func (p *pipeline) pageAfter(owner, state string, after jobsapi.Cursor, limit int) ([]services.JobStatus, bool) {
-	if limit <= 0 {
-		return nil, false
-	}
+// liveRows returns the board filter behind ListJobs and ListJobsAfter.
+// A non-terminal row is re-read from its handle, because the board lags
+// the handle by one publish; terminal rows are final. Queued rows carry
+// their admission-queue position, replayed at most once per call.
+func (p *pipeline) liveRows(owner, state string) func(services.JobStatus) (services.JobStatus, bool) {
 	var positions map[string]int
-	out := make([]services.JobStatus, 0, limit)
-	const chunk = 256
-	buf := make([]*Job, 0, chunk)
-	for {
-		buf = buf[:0]
-		p.mu.Lock()
-		// Resume strictly after the cursor. p.jobs is canonically ordered
-		// (see submit), so the first candidate is found by binary search —
-		// cursors name a (time, ID) position, not an index, which is why
-		// rows evicted by retention are simply skipped, never double-served.
-		i := sort.Search(len(p.jobs), func(i int) bool {
-			j := p.jobs[i]
-			return after.Less(jobsapi.Cursor{Submitted: j.submitted.UnixNano(), ID: j.ID})
-		})
-		for ; i < len(p.jobs) && len(buf) < chunk; i++ {
-			buf = append(buf, p.jobs[i])
+	return func(s services.JobStatus) (services.JobStatus, bool) {
+		if owner != "" && s.Owner != owner {
+			return s, false
 		}
-		done := i >= len(p.jobs)
-		p.mu.Unlock()
-		// Snapshot and filter outside the lock: statuses take each job's
-		// own mutex, and a page of snapshots under p.mu would stall submits.
-		for _, j := range buf {
-			s := j.statusSnapshot()
-			after = jobsapi.Cursor{Submitted: s.SubmittedAt.UnixNano(), ID: s.ID}
-			if !s.Matches(owner, state) {
-				continue
+		if !s.Terminal() {
+			if j, ok := p.job(s.ID); ok {
+				s = j.statusSnapshot()
 			}
-			if s.State == services.JobStateQueued {
-				if positions == nil {
-					// One fair-queuing replay covers every queued row on the
-					// page, same as ListJobs.
-					positions = p.admit.positions()
-				}
-				s.QueuePosition = positions[s.ID]
-			}
-			if len(out) == limit {
-				// A row beyond the page proves there is more; it is re-served
-				// as the first row of the next page.
-				return out, true
-			}
-			out = append(out, s)
 		}
-		if done {
-			return out, false
+		if !s.Matches(owner, state) {
+			return s, false
 		}
+		if s.State == services.JobStateQueued {
+			if positions == nil {
+				positions = p.admit.positions()
+			}
+			s.QueuePosition = positions[s.ID]
+		}
+		return s, true
 	}
 }
 
@@ -2010,17 +1957,6 @@ func (env *Environment) Submit(ctx context.Context, g *afg.Graph, opts ...Submit
 	return env.pipe.submit(ctx, spec)
 }
 
-// SubmitOwned is a thin wrapper over Submit for a named user at the
-// submitting site.
-//
-// Deprecated: use Submit with WithOwner and WithMaxHosts, which also
-// expose priority, deadline, and cancellation:
-//
-//	env.Submit(ctx, g, WithOwner(owner), WithMaxHosts(k))
-func (env *Environment) SubmitOwned(ctx context.Context, owner string, g *afg.Graph, k int) (*Job, error) {
-	return env.Submit(ctx, g, WithOwner(owner), WithMaxHosts(k))
-}
-
 // Jobs returns the status of every submitted job in stable order
 // (submission time, then ID).
 func (env *Environment) Jobs() []services.JobStatus {
@@ -2029,38 +1965,20 @@ func (env *Environment) Jobs() []services.JobStatus {
 
 // ListJobs returns live job statuses filtered by owner and state (empty
 // strings match everything), in stable (submission time, then ID) order.
-// Unlike the board's snapshots, queued jobs carry their current
+// Unlike the board's rows, queued jobs carry their current
 // admission-queue position — computed for the whole backlog in one
 // fair-queuing replay, not one per job.
 func (env *Environment) ListJobs(owner, state string) []services.JobStatus {
-	jobs := env.pipe.snapshot()
-	var positions map[string]int
-	if state == "" || state == services.JobStateQueued {
-		// Only filters that can list queued jobs pay for the replay.
-		positions = env.pipe.admit.positions()
-	}
-	out := make([]services.JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		s := j.statusSnapshot()
-		if s.State == services.JobStateQueued {
-			s.QueuePosition = positions[s.ID]
-		}
-		if s.Matches(owner, state) {
-			out = append(out, s)
-		}
-	}
-	services.SortJobs(out)
-	return out
+	return env.Board.Select(env.Board.CountFiltered(owner, state), env.pipe.liveRows(owner, state))
 }
 
 // CountJobs returns how many retained jobs match the owner/state
-// filters — the jobsapi.CountSource backend of the count-only listing
-// (limit=0). It reads the job board's incremental per-state and
-// per-owner tallies, so a count over a million-job board costs
-// O(shards), never a status materialization per row. The board lags a
-// publish or a retention eviction by at most the instant between the
-// pipeline mutation and the matching board write, which a count-only
-// monitoring probe tolerates.
+// filters — the backend of the count-only listing (limit=0). It reads
+// the job board's incremental per-state and per-owner tallies, so a
+// count over a million-job board costs O(shards), never a status
+// materialization per row. The board lags a publish by at most the
+// instant between the pipeline mutation and the matching board write,
+// which a count-only monitoring probe tolerates.
 func (env *Environment) CountJobs(owner, state string) int {
 	return env.Board.CountFiltered(owner, state)
 }
@@ -2068,11 +1986,13 @@ func (env *Environment) CountJobs(owner, state string) int {
 // ListJobsAfter returns up to limit live job statuses matching the
 // owner/state filters that sort strictly after the cursor in canonical
 // (submission time, then ID) order, plus whether more matches may
-// follow. It is the keyset-pagination backend of GET /v1/jobs: cost is
-// proportional to the page, not to how deep the page sits, so the last
-// page of a 100k-job board costs the same as the first.
+// follow. It is the keyset-pagination backend of GET /v1/jobs: the
+// board binary-searches its key index to the cursor, so the last page
+// of a 100k-job board costs the same as the first. Rows evicted by
+// retention are skipped, never double-served: cursors name a position,
+// not an index.
 func (env *Environment) ListJobsAfter(owner, state string, after jobsapi.Cursor, limit int) ([]services.JobStatus, bool) {
-	return env.pipe.pageAfter(owner, state, after, limit)
+	return env.Board.Page(services.JobKey{At: after.Submitted, ID: after.ID}, limit, env.pipe.liveRows(owner, state))
 }
 
 // Owners reports every known owner's fair-share weight, configured
@@ -2173,13 +2093,13 @@ func (env *Environment) UpdateOwner(owner string, upd services.OwnerUpdate) (ser
 	return env.ownerStatus(owner, env.Board.OwnerUsages()[owner], 0), nil
 }
 
-// Job returns the live status of one submitted job.
+// Job returns the live status of one retained job.
 func (env *Environment) Job(id string) (services.JobStatus, bool) {
-	if j, ok := env.pipe.job(id); ok {
-		return j.Status(), true
+	j, ok := env.pipe.job(id)
+	if !ok {
+		return services.JobStatus{}, false
 	}
-	// Evicted jobs may linger on the board a moment longer.
-	return env.Board.Get(id)
+	return j.Status(), true
 }
 
 // ErrUnknownJob is returned by CancelJob for IDs the pipeline does not
@@ -2202,7 +2122,7 @@ func (env *Environment) CancelJob(id string) error {
 // state, or ctx ends. Jobs submitted after Drain starts are not waited
 // for.
 func (env *Environment) Drain(ctx context.Context) error {
-	for _, j := range env.pipe.snapshot() {
+	for _, j := range env.pipe.handles() {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

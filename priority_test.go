@@ -370,22 +370,3 @@ func TestListJobsFiltersAndOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDeprecatedSubmitOwnedStillWorks pins the migration wrapper: the
-// deprecated entrypoint must behave exactly like the options form it
-// forwards to (owner, account priority, domain-clamped k).
-func TestDeprecatedSubmitOwnedStillWorks(t *testing.T) {
-	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 80}})
-	ctx := context.Background()
-	//lint:ignore SA1019 the wrapper's behavior is exactly what is under test
-	job, err := env.SubmitOwned(ctx, "user_k", soakGraph(t, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Owner != "user_k" || job.Priority() != 5 {
-		t.Fatalf("wrapper produced owner %q priority %d, want user_k/5", job.Owner, job.Priority())
-	}
-	if err := job.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
