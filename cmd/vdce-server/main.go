@@ -20,7 +20,8 @@
 // a restarted server re-admits queued jobs and re-dispatches in-flight
 // ones. With -shed-wait the admission queue sheds instead of blocking
 // under overload: submissions that cannot get a slot in time are
-// rejected with 503 + Retry-After, /readyz reports
+// rejected with 503 + Retry-After (-shed-deadline, alone or beside it,
+// rejects deadlines the graph cannot meet), /readyz reports
 // not-ready while recovery replay drains or the shed rate is high, and
 // per-host circuit breakers (-breakers, on by default) quarantine
 // flapping hosts from placement until half-open probes succeed — state
@@ -131,11 +132,11 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	quotaHosts := fs.Int("quota-hosts", 0, "max concurrently held hosts per owner (0 = unlimited; excess parks before execution)")
 	rateRPS := fs.Float64("rate-rps", 0, "per-owner API request rate limit in requests/second (0 = unlimited; over-limit requests get 429 with Retry-After)")
 	rateBurst := fs.Int("rate-burst", 0, "per-owner API request burst capacity (0 = ceil of -rate-rps)")
-	eventBuffer := fs.Int("event-buffer", 0, "job-event replay ring size for SSE Last-Event-ID resume (0 = default 4096)")
+	eventBuffer := fs.Int("event-buffer", 0, "job-event replay ring size for SSE Last-Event-ID resume, and each stream subscriber's delivery buffer: a subscriber that falls this far behind is evicted (0 = default 4096)")
 	storeDir := fs.String("store-dir", "", "durable control-plane store directory: job lifecycle, owner admin state, and performance history survive restarts (empty = in-memory only)")
-	shedWait := fs.Duration("shed-wait", 0, "max time a submission may wait for an admission-queue slot before it is shed with 503 + Retry-After (0 = never shed, block indefinitely)")
+	shedWait := fs.Duration("shed-wait", 0, "max time a submission may wait for an admission-queue slot before it is shed with 503 + Retry-After (0 = no bound: wait until the request ends)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 0, "Retry-After hint attached to shed responses (0 = default 1s)")
-	shedDeadline := fs.Bool("shed-deadline", false, "shed submissions whose deadline is infeasible even on an idle testbed (lower-bound critical-path estimate)")
+	shedDeadline := fs.Bool("shed-deadline", false, "shed submissions whose deadline is infeasible even on an idle testbed (lower-bound critical-path estimate) with 503 + Retry-After; works with or without -shed-wait")
 	breakers := fs.Bool("breakers", true, "run per-host circuit breakers: hosts with a high windowed failure rate are quarantined from placement until half-open probes succeed")
 	retryBudget := fs.Float64("retry-budget", 0, "engine-wide retry budget in retries/second; over-budget reschedules park until a token frees (0 = unlimited)")
 	chaosName := fs.String("chaos", "", "play a fault scenario against the live testbed: kill-quarter|rolling-restart|site-partition|flapping-host|brownout")

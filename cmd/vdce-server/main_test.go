@@ -208,3 +208,56 @@ func TestServerRejectsBadFlags(t *testing.T) {
 		t.Error("unknown flag accepted")
 	}
 }
+
+// TestServerShedDeadlineAlone: -shed-deadline works without -shed-wait.
+// A submission whose deadline is closer than the graph's critical-path
+// estimate answers 503 deadline-infeasible with Retry-After, and a
+// feasible deadline is accepted.
+func TestServerShedDeadlineAlone(t *testing.T) {
+	base := startServer(t, "-shed-deadline")
+	token := login(t, base)
+	// Linear Equation Solver: about 0.5s of critical path at catalog
+	// base times, whatever its matrix size.
+	g, err := tasklib.BuildLinearEquationSolver(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := g.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body []byte) (int, http.Header, map[string]any) {
+		t.Helper()
+		req, err := http.NewRequest("POST", base+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, resp.Header, out
+	}
+	code, _, imported := post("/apps/import", data)
+	appID, _ := imported["id"].(string)
+	if code != http.StatusCreated || appID == "" {
+		t.Fatalf("import = %d %v", code, imported)
+	}
+	code, hdr, body := post("/v1/apps/"+appID+"/submit", []byte(`{"deadline_ms": 100}`))
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("infeasible deadline = %d %v, want 503", code, body)
+	}
+	if reason, _ := body["shed_reason"].(string); reason != "deadline-infeasible" {
+		t.Errorf("shed_reason = %v, want deadline-infeasible", body["shed_reason"])
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("shed 503 carries no Retry-After")
+	}
+	if code, _, body := post("/v1/apps/"+appID+"/submit", []byte(`{"deadline_ms": 3600000}`)); code != http.StatusAccepted {
+		t.Fatalf("feasible deadline = %d %v, want 202", code, body)
+	}
+}

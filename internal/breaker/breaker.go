@@ -13,10 +13,10 @@
 //
 // Failure samples come from the execution engine's watchdog
 // terminations (EventHostFailure) and from the detector's suspect
-// transitions; successes come from completed task runs. Placement
-// exclusion lists consult Excluded()/Allow() so open hosts stop
-// receiving work, while half-open hosts admit probe traffic that
-// re-closes the breaker after genuine recovery.
+// transitions; successes come from completed task runs. The
+// rescheduler consults Allow() so open hosts stop receiving work, while
+// half-open hosts admit probe traffic that re-closes the breaker after
+// genuine recovery.
 //
 // All time flows through Config.Now, so tests (and the simulator) drive
 // the state machine on a synthetic clock.
@@ -283,8 +283,7 @@ func (s *Set) State(host string) State {
 	return hb.state
 }
 
-// Excluded returns the hosts whose breakers are currently open, sorted —
-// the exclusion list placement paths merge into their own.
+// Excluded returns the hosts whose breakers are currently open, sorted.
 func (s *Set) Excluded() []string {
 	now := s.cfg.Now()
 	s.mu.Lock()
@@ -298,20 +297,6 @@ func (s *Set) Excluded() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// OpenFraction reports what share of the known hosts is currently open.
-// total is the site's host count; known hosts the Set has never sampled
-// count as closed. total <= 0 returns 0.
-func (s *Set) OpenFraction(total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	open := len(s.Excluded())
-	if open > total {
-		open = total
-	}
-	return float64(open) / float64(total)
 }
 
 // HostStatus is one host's breaker snapshot, for the /v1/hosts API and

@@ -129,12 +129,6 @@ func TestExcludedAndOpenFraction(t *testing.T) {
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Excluded() = %v, want [a b]", got)
 	}
-	if f := s.OpenFraction(4); f != 0.5 {
-		t.Fatalf("OpenFraction(4) = %v, want 0.5", f)
-	}
-	if f := s.OpenFraction(0); f != 0 {
-		t.Fatalf("OpenFraction(0) = %v, want 0", f)
-	}
 }
 
 func TestUnknownHostIsClosed(t *testing.T) {

@@ -149,20 +149,14 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 		ac.app.mu.Lock()
 		ac.app.rescheduled++
 		ac.app.mu.Unlock()
-		// The exclusion list carries every host this task was chased off
-		// plus every host the detector currently holds confirmed dead —
-		// the repository usually agrees already (the detector published
-		// the down status), but a death confirmed microseconds ago must
-		// not win the placement because the round's snapshot predates it.
-		// Open circuit breakers ride along: a flapping host the detector
-		// cannot confirm dead is quarantined from replacements too.
+		// The exclusion list carries every host this task was chased off.
+		// Confirmed-dead hosts are already down in the rescheduler's
+		// repository snapshot, and open breakers are its own filter.
 		exclude := make([]string, 0, len(excluded))
 		for h := range excluded {
 			exclude = append(exclude, h)
 		}
 		sort.Strings(exclude)
-		exclude = append(exclude, e.deadHostsExcept(excluded)...)
-		exclude = append(exclude, e.breakerExcluded(excluded)...)
 		np, rerr := e.Reschedule(ac.app.g, ac.task.ID, exclude)
 		if rerr != nil {
 			return nil, fmt.Errorf("exec: reschedule task %d: %w", ac.task.ID, rerr)

@@ -69,10 +69,11 @@ type Engine struct {
 	// plus the engine-wide token-bucket retry budget. The zero value
 	// preserves the legacy immediate-retry behavior.
 	Retry RetryConfig
-	// Breakers, when non-nil, is the per-host circuit-breaker set: the
-	// engine feeds it watchdog outcomes (failures open a flapping host's
-	// breaker, successes close it again) and merges its open hosts into
-	// every rescheduling exclusion list.
+	// Breakers, when non-nil, is the per-host circuit-breaker set the
+	// engine feeds with watchdog outcomes: failures open a flapping
+	// host's breaker, successes close it again. Placement consults the
+	// breakers only through the Reschedule hook (NewRescheduler's
+	// WithBreakers).
 	Breakers *breaker.Set
 	// Console gates task dispatch (suspend/resume). Optional.
 	Console *services.Console
@@ -201,7 +202,9 @@ func (e *Engine) logger() *slog.Logger {
 
 // MarkHostDead records a failure-detector confirmation: every running
 // task placed on the host is interrupted at its next watchdog check and
-// flows through the rescheduler with the host excluded.
+// flows through the rescheduler with the host excluded. The detector
+// marks the host down in the repository before it calls this, so no
+// rescheduling round places work there either.
 func (e *Engine) MarkHostDead(host string) {
 	e.liveMu.Lock()
 	if e.dead == nil {
@@ -223,39 +226,6 @@ func (e *Engine) hostDead(host string) bool {
 	e.liveMu.RLock()
 	defer e.liveMu.RUnlock()
 	return e.dead[host]
-}
-
-// deadHostsExcept returns the confirmed-dead hosts not already in the
-// given set — the extra exclusions a rescheduling request carries so a
-// task is never re-placed onto a host the detector knows is gone.
-func (e *Engine) deadHostsExcept(already map[string]bool) []string {
-	e.liveMu.RLock()
-	defer e.liveMu.RUnlock()
-	var out []string
-	for h := range e.dead {
-		if !already[h] {
-			out = append(out, h)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// breakerExcluded returns the open-breaker hosts not already excluded:
-// the quarantine list a rescheduling request merges in so a flapping
-// host — never quiet long enough for the detector to confirm dead —
-// still stops winning placements.
-func (e *Engine) breakerExcluded(already map[string]bool) []string {
-	if e.Breakers == nil {
-		return nil
-	}
-	var out []string
-	for _, h := range e.Breakers.Excluded() {
-		if !already[h] {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // EventType tags an execution progress event.

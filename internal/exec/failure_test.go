@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"vdce/internal/afg"
+	"vdce/internal/breaker"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 )
 
 // spinTable places one Spin task (of ms milliseconds) on the host.
@@ -315,5 +317,101 @@ func TestOverloadIsNotAFailedHost(t *testing.T) {
 	defer mu.Unlock()
 	if overloads < 1 {
 		t.Fatal("no overload event observed")
+	}
+}
+
+// TestOpenBreakersAreAdvisoryDuringExecution: with host A failed and
+// every other candidate behind an open breaker, the engine still places
+// the task — on an open host — instead of failing it. Breakers gate
+// placement only through the rescheduler's advisory filter: a suspect
+// host beats no host.
+func TestOpenBreakersAreAdvisoryDuringExecution(t *testing.T) {
+	r := newRig(t, 2)
+	hostA := r.tb.Sites[0].Hosts[0]
+	hostB := r.tb.Sites[0].Hosts[1]
+	brk := breaker.New(breaker.Config{MinSamples: 1})
+	brk.ReportFailure(hostB.Name)
+	if brk.Allow(hostB.Name) {
+		t.Fatal("breaker for the only alternate did not open")
+	}
+	r.engine.Breakers = brk
+	r.engine.Reschedule = NewRescheduler([]*core.LocalSite{r.site}, WithBreakers(brk))
+	r.engine.LoadCheckPeriod = time.Millisecond
+
+	g := afg.NewGraph("spin")
+	g.AddTask("Spin", "util", 0, 1)
+	table := spinTable(t, g, hostA.Name, "60")
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		hostA.Fail()
+	}()
+	res, err := r.engine.Execute(context.Background(), g, table)
+	if err != nil {
+		t.Fatalf("run failed with every alternate breaker-open: %v", err)
+	}
+	if last := res.Runs[len(res.Runs)-1]; last.Host != hostB.Name {
+		t.Fatalf("final run on %s, want the breaker-open %s", last.Host, hostB.Name)
+	}
+}
+
+// TestDetectorConfirmedDeadHostNeverWinsReschedule: the detector
+// publishes a confirmed death to the repository before it calls
+// MarkHostDead, so the rescheduler's fresh snapshot already leaves the
+// dead host out. A task chased off another host never lands on it, even
+// when it was the rescheduler's first choice.
+func TestDetectorConfirmedDeadHostNeverWinsReschedule(t *testing.T) {
+	r := newRig(t, 3)
+	site := r.tb.Sites[0]
+	hostA := site.Hosts[0]
+	r.engine.LoadCheckPeriod = time.Millisecond
+
+	g := afg.NewGraph("spin")
+	id := g.AddTask("Spin", "util", 0, 1)
+	table := spinTable(t, g, hostA.Name, "60")
+	first, err := r.engine.Reschedule(g, id, []string{hostA.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := first.Hosts[0]
+
+	det := detect.New(detect.Config{SuspicionTimeout: time.Second, ConfirmQuorum: 1})
+	det.AddSite(site.Name, site.Repo.Resources)
+	det.Subscribe(func(tr detect.Transition) {
+		if tr.To == detect.Dead {
+			r.engine.MarkHostDead(tr.Host)
+		}
+	})
+	t0 := time.Unix(1000, 0)
+	for _, h := range site.Hosts {
+		det.Observe(h.Name, t0)
+	}
+	t1 := t0.Add(2 * time.Second)
+	for _, h := range site.Hosts {
+		if h.Name != victim {
+			det.Observe(h.Name, t1)
+		}
+	}
+	if _, err := det.Tick(t1); err != nil {
+		t.Fatal(err)
+	}
+	if !r.engine.hostDead(victim) {
+		t.Fatalf("detector did not confirm %s dead", victim)
+	}
+
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		hostA.Fail()
+	}()
+	res, err := r.engine.Execute(context.Background(), g, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rescheduled < 1 {
+		t.Fatalf("rescheduled = %d, want the task chased off %s", res.Rescheduled, hostA.Name)
+	}
+	for _, run := range res.Runs {
+		if run.Host == victim {
+			t.Fatalf("task ran on the confirmed-dead %s: %+v", victim, res.Runs)
+		}
 	}
 }

@@ -46,8 +46,8 @@ type StreamEvent struct {
 	Job services.JobStatus `json:"job"`
 }
 
-// DefaultEventBuffer sizes the broker's replay ring and each
-// subscriber's delivery buffer when the caller passes 0.
+// DefaultEventBuffer sizes the broker's replay ring when the caller
+// passes 0.
 const DefaultEventBuffer = 4096
 
 // Broker is the bounded fan-out hub between the job pipeline and the
@@ -219,7 +219,8 @@ func (b *Broker) Cursor() uint64 {
 }
 
 // Subscribe registers a consumer for events matching match (nil matches
-// everything), resuming after cursor `after` (0 subscribes to new
+// everything) with a delivery buffer of buffer events (0 means the
+// replay ring's size), resuming after cursor `after` (0 subscribes to new
 // events only). Replayed events — retained events with cursor > after
 // that match — are returned in order; events published later arrive on
 // the subscriber's channel. The replay capture and the registration
@@ -231,7 +232,7 @@ func (b *Broker) Cursor() uint64 {
 // current state (the SSE handlers send a snapshot event).
 func (b *Broker) Subscribe(after uint64, buffer int, match func(StreamEvent) bool) (sub *Subscriber, replay []StreamEvent, missed bool) {
 	if buffer <= 0 {
-		buffer = DefaultEventBuffer
+		buffer = len(b.ring)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -24,12 +24,10 @@
 //	GET    /v1/hosts            per-host health: up/down, failure-
 //	                            detector state, and circuit-breaker
 //	                            state (closed/open/half-open with the
-//	                            windowed failure rate), when the Source
-//	                            implements HostSource
+//	                            windowed failure rate)
 //	GET    /v1/jobs/{id}/trace  one job's lifecycle trace: phase
 //	                            boundary timestamps plus park,
-//	                            reschedule, and failure point events,
-//	                            when the Source implements TraceSource
+//	                            reschedule, and failure point events
 //
 // All endpoints require authentication; the embedding server supplies
 // the session model. When Config.RateLimit is set, every request spends
@@ -145,24 +143,11 @@ type Source interface {
 	// admission queue immediately and persisted when the environment is
 	// durable. An empty update is an error.
 	UpdateOwner(owner string, upd services.OwnerUpdate) (services.OwnerStatus, error)
-}
-
-// HostSource is the optional Source extension behind GET /v1/hosts:
-// per-host health including circuit-breaker state. Sources that do not
-// implement it simply do not get the endpoint mounted (404), so
-// existing Source implementations keep working unchanged.
-type HostSource interface {
-	// Hosts returns every testbed host's health snapshot, sorted by
-	// host name.
+	// Hosts returns every testbed host's health snapshot — up/down,
+	// failure-detector and circuit-breaker state — sorted by host name.
 	Hosts() []services.HostStatus
-}
-
-// TraceSource is the optional Source extension behind
-// GET /v1/jobs/{id}/trace: the job's full lifecycle trace (phase
-// boundaries plus park/reschedule/failure point events). Sources that
-// do not implement it do not get the endpoint mounted.
-type TraceSource interface {
-	// JobTrace returns one retained job's ordered lifecycle trace.
+	// JobTrace returns one retained job's ordered lifecycle trace: phase
+	// boundaries plus park/reschedule/failure point events.
 	JobTrace(id string) (services.JobTrace, bool)
 }
 
@@ -180,12 +165,11 @@ type Config struct {
 	// and control every job.
 	OwnerScoped bool
 	// Events feeds the streaming endpoints (/v1/jobs/{id}/events and
-	// /v1/events); nil answers them 503.
+	// /v1/events); nil answers them 503. Each stream subscriber's
+	// delivery buffer is the broker's replay-ring size: a subscriber
+	// that falls that far behind is evicted rather than allowed to
+	// block the pipeline.
 	Events *Broker
-	// EventBuffer bounds each subscriber's delivery buffer (0 =
-	// DefaultEventBuffer). A subscriber that falls this far behind is
-	// evicted rather than allowed to block the pipeline.
-	EventBuffer int
 	// RateLimit enforces a per-owner request token bucket across the
 	// whole mount; the zero value disables it.
 	RateLimit RateLimitConfig
@@ -217,23 +201,17 @@ func Handler(cfg Config) http.Handler {
 		cfg.handleOwners(w, r, user, limiter)
 	})
 	handle("PATCH /v1/owners/{owner}", cfg.handleOwnerPatch)
-	if hs, ok := cfg.Source.(HostSource); ok {
-		handle("GET /v1/hosts", func(w http.ResponseWriter, r *http.Request, _ string) {
-			writeJSON(w, http.StatusOK, map[string]any{"hosts": hs.Hosts()})
-		})
-	}
-	if ts, ok := cfg.Source.(TraceSource); ok {
-		handle("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request, user string) {
-			cfg.handleTrace(w, r, user, ts)
-		})
-	}
+	handle("GET /v1/hosts", func(w http.ResponseWriter, r *http.Request, _ string) {
+		writeJSON(w, http.StatusOK, map[string]any{"hosts": cfg.Source.Hosts()})
+	})
+	handle("GET /v1/jobs/{id}/trace", cfg.handleTrace)
 	return mux
 }
 
 // handleTrace serves GET /v1/jobs/{id}/trace. Authorization follows
 // handleGet exactly: owner-scoped mounts answer 403 for someone else's
 // job, so the trace endpoint leaks nothing the status endpoint hides.
-func (c Config) handleTrace(w http.ResponseWriter, r *http.Request, user string, ts TraceSource) {
+func (c Config) handleTrace(w http.ResponseWriter, r *http.Request, user string) {
 	id := r.PathValue("id")
 	s, ok := c.Source.Job(id)
 	if !ok {
@@ -244,7 +222,7 @@ func (c Config) handleTrace(w http.ResponseWriter, r *http.Request, user string,
 		writeErr(w, http.StatusForbidden, errors.New("jobsapi: not your job"))
 		return
 	}
-	tr, ok := ts.JobTrace(id)
+	tr, ok := c.Source.JobTrace(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("jobsapi: no trace for job %q", id))
 		return

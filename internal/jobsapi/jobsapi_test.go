@@ -127,6 +127,21 @@ func (f *fakeSource) UpdateOwner(owner string, upd services.OwnerUpdate) (servic
 	return s, nil
 }
 
+// Hosts reports one healthy host.
+func (f *fakeSource) Hosts() []services.HostStatus {
+	return []services.HostStatus{{Host: "h0", Site: "s0", Up: true, Breaker: "closed"}}
+}
+
+// JobTrace reports a one-event trace for every known job.
+func (f *fakeSource) JobTrace(id string) (services.JobTrace, bool) {
+	s, ok := f.Job(id)
+	if !ok {
+		return services.JobTrace{}, false
+	}
+	return services.JobTrace{ID: s.ID, Owner: s.Owner, State: s.State,
+		Events: []services.TraceEvent{{At: s.SubmittedAt, Event: services.PhaseSubmitted}}}, true
+}
+
 func newTestAPI(t *testing.T, n int, ownerScoped bool) (*httptest.Server, *fakeSource) {
 	t.Helper()
 	src := &fakeSource{}
@@ -410,5 +425,26 @@ func TestOwnerPatch(t *testing.T) {
 	}
 	if len(src2.updates) != 0 {
 		t.Fatalf("owner-scoped mount applied updates: %v", src2.updates)
+	}
+}
+
+// TestHostsAndTraceEndpoints: every mount serves GET /v1/hosts and
+// GET /v1/jobs/{id}/trace from its Source, and the trace endpoint
+// answers 404 and 403 exactly like the status endpoint.
+func TestHostsAndTraceEndpoints(t *testing.T) {
+	ts, _ := newTestAPI(t, 2, true)
+	out, code := call(t, ts, "GET", "/v1/hosts", "ana")
+	if hosts, _ := out["hosts"].([]any); code != http.StatusOK || len(hosts) != 1 {
+		t.Fatalf("GET /v1/hosts = %d %v, want 200 with one host", code, out)
+	}
+	out, code = call(t, ts, "GET", "/v1/jobs/job-1/trace", "ana")
+	if code != http.StatusOK || out["id"] != "job-1" {
+		t.Fatalf("own trace = %d %v, want 200 for job-1", code, out)
+	}
+	if _, code := call(t, ts, "GET", "/v1/jobs/job-2/trace", "ana"); code != http.StatusForbidden {
+		t.Fatalf("someone else's trace on a scoped mount = %d, want 403", code)
+	}
+	if _, code := call(t, ts, "GET", "/v1/jobs/job-404/trace", "ana"); code != http.StatusNotFound {
+		t.Fatalf("unknown job's trace = %d, want 404", code)
 	}
 }

@@ -109,7 +109,7 @@ func (c Config) handleJobEvents(w http.ResponseWriter, r *http.Request, user str
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sub, replay, missed := c.Events.Subscribe(after, c.EventBuffer, func(ev StreamEvent) bool {
+	sub, replay, missed := c.Events.Subscribe(after, 0, func(ev StreamEvent) bool {
 		return ev.Job.ID == id
 	})
 	defer sub.Close()
@@ -165,7 +165,7 @@ func (c Config) handleFirehose(w http.ResponseWriter, r *http.Request, user stri
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sub, replay, missed := c.Events.Subscribe(after, c.EventBuffer, func(ev StreamEvent) bool {
+	sub, replay, missed := c.Events.Subscribe(after, 0, func(ev StreamEvent) bool {
 		return ev.Job.Matches(owner, state)
 	})
 	defer sub.Close()

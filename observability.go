@@ -16,11 +16,10 @@ var discardLog = slog.New(slog.DiscardHandler)
 // record calls on the submit/schedule/dispatch paths are pure atomics.
 type envMetrics struct {
 	// Admission.
-	submitWait      *obs.Histogram // submitted → admitted
+	submitWait      *obs.Histogram // Submit call → admitted
 	accepted        *obs.Counter
 	rejectQueueFull *obs.Counter
 	rejectDeadline  *obs.Counter
-	rejectBreaker   *obs.Counter
 	rejectQuota     *obs.Counter
 
 	// Scheduler.
@@ -77,7 +76,6 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 			"Submissions admitted into the queue.").With(),
 		rejectQueueFull: rejects.With(ShedQueueFull),
 		rejectDeadline:  rejects.With(ShedDeadlineInfeasible),
-		rejectBreaker:   rejects.With(ShedBreakerSaturated),
 		rejectQuota:     rejects.With("quota"),
 		roundLatency: reg.Histogram("vdce_scheduler_round_seconds",
 			"Site-scheduler round latency (Fig. 2 round per job).", obs.DefBuckets).With(),

@@ -507,3 +507,38 @@ func TestEditorShed503RetryAfter(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
+
+// TestShedDeadlineWithoutSubmitWait: the deadline-infeasibility check
+// applies on its own. With CheckDeadline set and no MaxSubmitWait, a
+// submission whose deadline is closer than the graph's critical-path
+// estimate is shed deadline-infeasible and leaves no board row, while a
+// feasible deadline is admitted.
+func TestShedDeadlineWithoutSubmitWait(t *testing.T) {
+	env := newEnv(t, Config{
+		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 5},
+		Pipeline: PipelineConfig{Shed: ShedConfig{CheckDeadline: true}},
+	})
+	g := soakGraph(t, 0) // a Linear Equation Solver: ~0.5s critical path at base times
+	est, ok := env.pipe.minCompletionEstimate(g)
+	if !ok || est < 200*time.Millisecond {
+		t.Fatalf("critical-path estimate = %v, %v; the test needs one above 200ms", est, ok)
+	}
+	_, err := env.Submit(context.Background(), g, WithDeadline(time.Now().Add(est/4)))
+	var se *ShedError
+	if !errors.As(err, &se) || se.Reason != ShedDeadlineInfeasible {
+		t.Fatalf("infeasible deadline: err = %v, want a %s shed", err, ShedDeadlineInfeasible)
+	}
+	if n := len(env.Jobs()); n != 0 {
+		t.Fatalf("shed submission left %d board rows", n)
+	}
+	job, err := env.Submit(context.Background(), soakGraph(t, 0), WithDeadline(time.Now().Add(time.Hour)))
+	if err != nil {
+		t.Fatalf("feasible deadline rejected: %v", err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatalf("feasible job: %v", err)
+	}
+	if acc, shed := env.ShedStats(); acc != 1 || shed != 1 {
+		t.Fatalf("ShedStats = %d accepted, %d shed; want 1 and 1", acc, shed)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,8 +21,9 @@ import (
 // PipelineConfig sizes the concurrent submission pipeline. Zero fields
 // take the listed defaults.
 type PipelineConfig struct {
-	// QueueDepth bounds the admission queue; Submit blocks (up to its
-	// context) while the queue is full. Default 64.
+	// QueueDepth bounds the admission queue; Submit waits for a slot
+	// (up to its context, or Shed.MaxSubmitWait) while the queue is
+	// full. Default 64.
 	QueueDepth int
 	// SchedulerWorkers is how many scheduler workers run core.Scheduler
 	// rounds concurrently. Each job carries a home site — round-robin
@@ -59,24 +59,22 @@ type PipelineConfig struct {
 	// over budget answer 429 with Retry-After). The zero value disables
 	// rate limiting.
 	APIRate jobsapi.RateLimitConfig
-	// Shed enables adaptive load shedding at admission: bounded queue
-	// waits, deadline-infeasibility estimates, and breaker-saturation
-	// rejection, all surfaced as typed *ShedError (HTTP 503 +
-	// Retry-After). The zero value keeps the legacy block-until-slot
-	// behavior.
+	// Shed configures adaptive load shedding at admission: a bounded
+	// wait for a queue slot and a deadline-infeasibility estimate, each
+	// surfaced as a typed *ShedError (HTTP 503 + Retry-After). The zero
+	// value sheds nothing: Submit waits for a slot until its context
+	// ends.
 	Shed ShedConfig
-	// DispatchBatch is how many fairly-arbitrated jobs one scheduler
-	// worker drains from the admission queue per wakeup, amortizing the
-	// queue lock and the wake token across the batch — at scale, one
-	// terminal job no longer costs one lock round-trip and one wakeup
-	// per dispatched job. A worker that drains a full batch re-arms
-	// another idle worker before processing, so deep backlogs still
-	// spread across all workers; with fewer eligible jobs than the
-	// batch, one worker processes them in pop order (latency bounded by
-	// batch size, so keep it small). Default 8; 1 restores per-job
-	// handoff.
-	DispatchBatch int
 }
+
+// dispatchBatch is how many fairly-arbitrated jobs one scheduler worker
+// drains from the admission queue per wakeup, amortizing the queue lock
+// and the wake token across the batch. A worker that drains a full
+// batch re-arms another idle worker before processing, so deep
+// backlogs still spread across all workers; with fewer eligible jobs
+// than the batch, one worker processes them in pop order, so the batch
+// stays small to bound that latency.
+const dispatchBatch = 8
 
 func (c *PipelineConfig) fillDefaults() {
 	if c.QueueDepth <= 0 {
@@ -96,9 +94,6 @@ func (c *PipelineConfig) fillDefaults() {
 	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = jobsapi.DefaultEventBuffer
-	}
-	if c.DispatchBatch <= 0 {
-		c.DispatchBatch = 8
 	}
 	c.Shed.fillDefaults()
 }
@@ -307,7 +302,6 @@ type Job struct {
 	// incarnation of the control plane died and was re-adopted from the
 	// durable store on boot (immutable after registration).
 	recovered bool
-	board     *services.JobBoard
 	pipe      *pipeline
 	done      chan struct{}
 	// cancelCh closes on the first Cancel call, unblocking dispatch waits.
@@ -447,7 +441,7 @@ func (j *Job) Cancel() {
 		// Drop it from the admission queue eagerly, freeing its slot. If
 		// a worker popped it first, the worker's claim check observes the
 		// cancel request instead and exactly one of us terminalizes.
-		if j.pipe != nil && j.pipe.admit.remove(j.ID) {
+		if j.pipe.admit.remove(j.ID) {
 			j.pipe.releaseSlot()
 		}
 		j.terminalize(JobCanceled, ErrJobCanceled, nil)
@@ -474,23 +468,6 @@ func (j *Job) FailedHosts() []string {
 	return append([]string(nil), j.failedHosts...)
 }
 
-// metrics returns the pipeline's resolved metric handles, or nil for
-// jobs detached from a live pipeline (some tests).
-func (j *Job) metrics() *envMetrics {
-	if j.pipe == nil || j.pipe.env == nil {
-		return nil
-	}
-	return j.pipe.env.obsM
-}
-
-// logger returns the pipeline's structured logger, or a discarding one.
-func (j *Job) logger() *slog.Logger {
-	if j.pipe == nil || j.pipe.env == nil || j.pipe.env.log == nil {
-		return discardLog
-	}
-	return j.pipe.env.log
-}
-
 // stampLocked appends one trace event under j.mu, clamping the
 // timestamp so the trace is non-decreasing even across wall-clock
 // steps (recovered jobs mix persisted wall times with fresh monotonic
@@ -511,20 +488,12 @@ func (j *Job) stampEvent(event, detail string) {
 	j.mu.Unlock()
 }
 
-// stampAdmitted records admission-queue entry at the given instant and
-// returns the submit-wait duration (zero when unknowable).
-func (j *Job) stampAdmitted(at time.Time) time.Duration {
+// stampAdmitted records admission-queue entry at the given instant.
+func (j *Job) stampAdmitted(at time.Time) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.admitted = at
 	j.stampLocked(services.PhaseAdmitted, "", at)
-	if j.submitted.IsZero() {
-		return 0
-	}
-	if d := at.Sub(j.submitted); d > 0 {
-		return d
-	}
-	return 0
+	j.mu.Unlock()
 }
 
 // stampScheduled records schedule completion and observes the
@@ -539,8 +508,8 @@ func (j *Job) stampScheduled() {
 		wait = now.Sub(j.admitted)
 	}
 	j.mu.Unlock()
-	if m := j.metrics(); m != nil && wait > 0 {
-		m.phaseQueueWait.Observe(wait.Seconds())
+	if wait > 0 {
+		j.pipe.env.obsM.phaseQueueWait.Observe(wait.Seconds())
 	}
 }
 
@@ -557,8 +526,8 @@ func (j *Job) stampDispatched() {
 		wait = now.Sub(j.scheduled)
 	}
 	j.mu.Unlock()
-	if m := j.metrics(); m != nil && wait > 0 {
-		m.phaseDispatchWait.Observe(wait.Seconds())
+	if wait > 0 {
+		j.pipe.env.obsM.phaseDispatchWait.Observe(wait.Seconds())
 	}
 }
 
@@ -632,15 +601,14 @@ func (j *Job) execEvent(ev exec.Event) {
 		return
 	}
 	j.mu.Unlock()
-	if m := j.metrics(); m != nil {
-		switch ev.Type {
-		case exec.EventRescheduled:
-			m.reschedules.Inc()
-		case exec.EventHostFailure:
-			m.hostFailures.Inc()
-		}
+	m := j.pipe.env.obsM
+	switch ev.Type {
+	case exec.EventRescheduled:
+		m.reschedules.Inc()
+	case exec.EventHostFailure:
+		m.hostFailures.Inc()
 	}
-	if ev.Type == exec.EventRescheduled && j.pipe != nil {
+	if ev.Type == exec.EventRescheduled {
 		hosts := ev.Hosts
 		if len(hosts) == 0 {
 			hosts = []string{ev.Host}
@@ -660,7 +628,7 @@ func (j *Job) execEvent(ev exec.Event) {
 // API. Queued jobs carry their live admission-queue position.
 func (j *Job) Status() services.JobStatus {
 	s := j.statusSnapshot()
-	if s.State == services.JobStateQueued && j.pipe != nil {
+	if s.State == services.JobStateQueued {
 		s.QueuePosition = j.pipe.admit.position(j.ID)
 	}
 	return s
@@ -710,7 +678,7 @@ func (j *Job) expireQueued() {
 		return
 	}
 	j.mu.Unlock()
-	if j.pipe != nil && j.pipe.admit.remove(j.ID) {
+	if j.pipe.admit.remove(j.ID) {
 		j.pipe.releaseSlot()
 	}
 	j.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
@@ -741,9 +709,7 @@ func (j *Job) claimForScheduling() bool {
 	j.mu.Unlock()
 	j.noteReplayDone()
 	j.publish()
-	if j.pipe != nil {
-		j.pipe.persistState(j)
-	}
+	j.pipe.persistState(j)
 	return true
 }
 
@@ -755,7 +721,7 @@ func (j *Job) noteReplayDone() {
 	pending := j.replayPending
 	j.replayPending = false
 	j.mu.Unlock()
-	if pending && j.pipe != nil {
+	if pending {
 		j.pipe.recoveryPending.Add(-1)
 	}
 }
@@ -782,9 +748,7 @@ func (j *Job) transition(s JobState) {
 	}
 	j.mu.Unlock()
 	j.publish()
-	if j.pipe != nil {
-		j.pipe.persistState(j)
-	}
+	j.pipe.persistState(j)
 }
 
 // setTable records the scheduling artifact.
@@ -825,40 +789,35 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 	if expiry != nil {
 		expiry.Stop()
 	}
-	if m := j.metrics(); m != nil {
-		if runDur > 0 {
-			m.phaseRun.Observe(runDur.Seconds())
-		}
-		if totalDur > 0 {
-			m.phaseTotal.Observe(totalDur.Seconds())
-		}
-		switch state {
-		case JobDone:
-			m.completedDone.Inc()
-		case JobFailed:
-			m.completedFailed.Inc()
-		case JobCanceled:
-			m.completedCanceled.Inc()
-		}
+	m := j.pipe.env.obsM
+	if runDur > 0 {
+		m.phaseRun.Observe(runDur.Seconds())
+	}
+	if totalDur > 0 {
+		m.phaseTotal.Observe(totalDur.Seconds())
+	}
+	switch state {
+	case JobDone:
+		m.completedDone.Inc()
+	case JobFailed:
+		m.completedFailed.Inc()
+	case JobCanceled:
+		m.completedCanceled.Inc()
 	}
 	if err != nil {
-		j.logger().Warn("job finished", "job_id", j.ID, "owner", j.Owner,
+		j.pipe.env.log.Warn("job finished", "job_id", j.ID, "owner", j.Owner,
 			"state", state.String(), "error", err.Error(), "total_seconds", totalDur.Seconds())
 	} else {
-		j.logger().Info("job finished", "job_id", j.ID, "owner", j.Owner,
+		j.pipe.env.log.Info("job finished", "job_id", j.ID, "owner", j.Owner,
 			"state", state.String(), "total_seconds", totalDur.Seconds())
 	}
 	j.noteReplayDone()
 	// Return the job's in-flight and held-host quota charges before the
 	// final status publishes, so owner counters never show a terminal
 	// job as still consuming capacity.
-	if j.pipe != nil {
-		j.pipe.jobReleased(j)
-	}
+	j.pipe.jobReleased(j)
 	j.publish()
-	if j.pipe != nil {
-		j.pipe.persistState(j)
-	}
+	j.pipe.persistState(j)
 	close(j.done)
 	return true
 }
@@ -877,12 +836,8 @@ func (j *Job) publish() { j.publishEvent(jobsapi.EventState) }
 // consumers can tell lifecycle transitions from mid-run recovery.
 func (j *Job) publishEvent(typ string) {
 	s := j.Status()
-	if j.board != nil {
-		j.board.Update(s)
-	}
-	if j.pipe != nil && j.pipe.events != nil {
-		j.pipe.events.Publish(typ, s)
-	}
+	j.pipe.env.Board.Update(s)
+	j.pipe.events.Publish(typ, s)
 }
 
 // pipeline is the multi-tenant submission machinery behind
@@ -1004,16 +959,11 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		p.events = jobsapi.NewBrokerAt(cfg.EventBuffer, st.EventCursor(), func(cur uint64) {
 			st.NoteEventCursor(cur)
 		})
-		if env.Obs != nil {
-			p.events.Instrument(env.Obs)
-		}
 		adopt = p.loadRecovered(st.Recovered())
 	} else {
 		p.events = jobsapi.NewBroker(cfg.EventBuffer)
-		if env.Obs != nil {
-			p.events.Instrument(env.Obs)
-		}
 	}
+	p.events.Instrument(env.Obs)
 	// Queue capacity: the configured depth plus one slot per re-adopted
 	// job, so recovery never deadlocks on its own backpressure when the
 	// crash left more jobs queued than QueueDepth.
@@ -1081,7 +1031,6 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			priority:    rec.Priority,
 			shareWeight: clampShareWeight(rec.ShareWeight),
 			deadline:    rec.Deadline,
-			board:       p.env.Board,
 			pipe:        p,
 			done:        make(chan struct{}),
 			cancelCh:    make(chan struct{}),
@@ -1160,16 +1109,12 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			close(job.done)
 			if expired {
 				p.recovery.DeadlineExpiredAtReplay++
-				if m != nil {
-					m.recoveryExpired.Inc()
-				}
+				m.recoveryExpired.Inc()
 				job.publish()
 				p.persistState(job)
 			} else {
 				p.recovery.TerminalRetained++
-				if m != nil {
-					m.recoveryTerminal.Inc()
-				}
+				m.recoveryTerminal.Inc()
 				// Restore the board row without publishing a stream event: a
 				// reboot is not a lifecycle transition.
 				p.env.Board.Update(job.statusSnapshot())
@@ -1178,14 +1123,10 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			job.stampLocked("recovered", rec.State, time.Now())
 			if job.recovered {
 				p.recovery.InFlightRedispatched++
-				if m != nil {
-					m.recoveryRedispatched.Inc()
-				}
+				m.recoveryRedispatched.Inc()
 			} else {
 				p.recovery.QueuedRecovered++
-				if m != nil {
-					m.recoveryRequeued.Inc()
-				}
+				m.recoveryRequeued.Inc()
 			}
 			adopt = append(adopt, job)
 		}
@@ -1254,25 +1195,25 @@ type submitSpec struct {
 	labels      map[string]string
 }
 
-// submit admits a job into the fair-share priority queue, blocking
-// while it is full. An owner over its queued-jobs quota is rejected
-// with a typed QuotaError before consuming any shared queue capacity.
-// With shedding enabled the blocking is bounded: estimate-based checks
-// (breaker saturation, deadline infeasibility) reject before touching
-// the queue, and a full queue sheds with a typed *ShedError after
-// Shed.MaxSubmitWait instead of parking the submitter indefinitely.
+// submit admits a job into the fair-share priority queue. An owner over
+// its queued-jobs quota is rejected with a typed QuotaError, and an
+// infeasible deadline (Shed.CheckDeadline) with a typed *ShedError,
+// before any shared queue capacity is touched. The queue slot is
+// claimed before the job exists, so a submission that gives up waiting
+// for one — its ctx ended, the pipeline closed, or Shed.MaxSubmitWait
+// passed (a queue-full *ShedError) — leaves nothing behind.
 func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
+	start := time.Now()
 	if err := spec.graph.Validate(); err != nil {
 		return nil, err
 	}
 	if spec.home >= len(p.env.Sites) {
 		return nil, fmt.Errorf("vdce: no site %d", spec.home)
 	}
-	if !spec.deadline.IsZero() && !time.Now().Before(spec.deadline) {
+	if !spec.deadline.IsZero() && !start.Before(spec.deadline) {
 		return nil, ErrJobDeadlineExceeded
 	}
-	if serr := p.preAdmitShed(spec); serr != nil {
-		p.meter.record(true)
+	if serr := p.deadlineShed(spec); serr != nil {
 		p.countShed(serr.Reason, spec.owner)
 		return nil, serr
 	}
@@ -1281,36 +1222,31 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	// and is returned when the job pops, is removed, or dies before
 	// reaching the queue.
 	if err := p.admit.reserveQueued(spec.owner); err != nil {
-		if m := p.env.obsM; m != nil {
-			m.rejectQuota.Inc()
-		}
-		p.log().Info("submission rejected", "owner", spec.owner, "reason", "quota")
+		p.env.obsM.rejectQuota.Inc()
+		p.env.log.Info("submission rejected", "owner", spec.owner, "reason", "quota")
 		return nil, err
 	}
-	// With shedding on, the queue slot is claimed before the job handle
-	// is registered: a shed submission leaves no residue on the board,
-	// exactly like a quota rejection. The bounded wait is the shed
-	// threshold — a submitter is never blocked beyond it.
-	preSlot := false
-	if p.shed.enabled() {
+	// The shed timer bounds the slot wait; without MaxSubmitWait it is
+	// a nil channel and the wait lasts until ctx or the pipeline ends.
+	var shedTimer <-chan time.Time
+	if p.shed.MaxSubmitWait > 0 {
 		timer := time.NewTimer(p.shed.MaxSubmitWait)
 		defer timer.Stop()
-		select {
-		case p.slots <- struct{}{}:
-			preSlot = true
-		case <-timer.C:
-			p.admit.unreserveQueued(spec.owner)
-			p.meter.record(true)
-			p.countShed(ShedQueueFull, spec.owner)
-			return nil, p.shed.shedError(ShedQueueFull,
-				fmt.Sprintf("queue of %d full for %v", p.cfg.QueueDepth, p.shed.MaxSubmitWait))
-		case <-ctx.Done():
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ctx.Err()
-		case <-p.ctx.Done():
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ErrPipelineClosed
-		}
+		shedTimer = timer.C
+	}
+	select {
+	case p.slots <- struct{}{}:
+	case <-shedTimer:
+		p.admit.unreserveQueued(spec.owner)
+		p.countShed(ShedQueueFull, spec.owner)
+		return nil, p.shed.shedError(ShedQueueFull,
+			fmt.Sprintf("queue of %d full for %v", p.cfg.QueueDepth, p.shed.MaxSubmitWait))
+	case <-ctx.Done():
+		p.admit.unreserveQueued(spec.owner)
+		return nil, ctx.Err()
+	case <-p.ctx.Done():
+		p.admit.unreserveQueued(spec.owner)
+		return nil, ErrPipelineClosed
 	}
 	job := &Job{
 		Owner:       spec.owner,
@@ -1320,7 +1256,6 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		priority:    spec.priority,
 		shareWeight: spec.shareWeight,
 		deadline:    spec.deadline,
-		board:       p.env.Board,
 		pipe:        p,
 		done:        make(chan struct{}),
 		cancelCh:    make(chan struct{}),
@@ -1329,9 +1264,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		if preSlot {
-			p.releaseSlot()
-		}
+		p.releaseSlot()
 		p.admit.unreserveQueued(spec.owner)
 		return nil, ErrPipelineClosed
 	}
@@ -1355,42 +1288,21 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	job.publish()
 	p.pruneRetained()
 	p.gauge()
-	if !preSlot {
-		// Reserve a queue slot (backpressure), then enqueue. The job is
-		// visible on the board while its submitter waits, exactly like a
-		// sender blocked on a full channel.
-		select {
-		case p.slots <- struct{}{}:
-		case <-ctx.Done():
-			job.terminalize(JobFailed, ctx.Err(), nil)
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ctx.Err()
-		case <-p.ctx.Done():
-			job.terminalize(JobFailed, ErrPipelineClosed, nil)
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ErrPipelineClosed
-		case <-job.cancelCh:
-			// Cancel won while we waited for capacity; the job is terminal.
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ErrJobCanceled
-		}
-	}
-	// A cancel may have landed in the same instant the slot freed
-	// (select picks ready cases at random) or while a pre-claimed slot's
-	// job registered: never enqueue a job that is already terminal.
+	// A cancel (CancelJob by ID) may land between registration and the
+	// push: never enqueue a job that is already terminal.
 	if job.canceled() {
 		p.releaseSlot()
 		p.admit.unreserveQueued(spec.owner)
 		return nil, ErrJobCanceled
 	}
-	wait := job.stampAdmitted(time.Now())
+	now = time.Now()
+	job.stampAdmitted(now)
 	p.admit.push(job)
 	p.meter.record(false)
-	if m := p.env.obsM; m != nil {
-		m.submitWait.Observe(wait.Seconds())
-		m.accepted.Inc()
-	}
-	p.log().Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
+	m := p.env.obsM
+	m.submitWait.Observe(now.Sub(start).Seconds())
+	m.accepted.Inc()
+	p.env.log.Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
 	if !job.deadline.IsZero() {
 		// Drop the job at its deadline if it is still queued then, so it
 		// does not pin a queue slot or block Wait callers until a worker
@@ -1407,28 +1319,17 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 // admission queue (popped by a worker or removed by Cancel).
 func (p *pipeline) releaseSlot() { <-p.slots }
 
-// log returns the environment's structured logger, or a discarding one.
-func (p *pipeline) log() *slog.Logger {
-	if p.env == nil || p.env.log == nil {
-		return discardLog
-	}
-	return p.env.log
-}
-
-// countShed feeds one admission rejection into the per-reason counter
-// and the structured log.
+// countShed feeds one shed rejection into the shed-rate meter, the
+// per-reason counter and the structured log.
 func (p *pipeline) countShed(reason, owner string) {
-	if m := p.env.obsM; m != nil {
-		switch reason {
-		case ShedQueueFull:
-			m.rejectQueueFull.Inc()
-		case ShedDeadlineInfeasible:
-			m.rejectDeadline.Inc()
-		case ShedBreakerSaturated:
-			m.rejectBreaker.Inc()
-		}
+	p.meter.record(true)
+	switch reason {
+	case ShedQueueFull:
+		p.env.obsM.rejectQueueFull.Inc()
+	case ShedDeadlineInfeasible:
+		p.env.obsM.rejectDeadline.Inc()
 	}
-	p.log().Info("submission shed", "owner", owner, "reason", reason)
+	p.env.log.Info("submission shed", "owner", owner, "reason", reason)
 }
 
 // services resolves the scheduling services for home site i, caching
@@ -1463,7 +1364,7 @@ func (p *pipeline) services(home int) (*siteSvc, error) {
 
 // worker drains batches of fairly-arbitrated jobs from the admission
 // queue and runs their scheduling rounds from each job's home site. One
-// wakeup token buys up to DispatchBatch pops under a single queue lock
+// wakeup token buys up to dispatchBatch pops under a single queue lock
 // acquisition (the batched handoff); a full batch means more work
 // likely remains, so the worker re-arms another idle worker before it
 // starts processing, keeping deep backlogs spread across the pool.
@@ -1473,7 +1374,7 @@ func (p *pipeline) services(home int) (*siteSvc, error) {
 // backpressure or the shed threshold.
 func (p *pipeline) worker() {
 	defer p.workerWG.Done()
-	batch := make([]*Job, 0, p.cfg.DispatchBatch)
+	batch := make([]*Job, 0, dispatchBatch)
 	for {
 		select {
 		case <-p.ctx.Done():
@@ -1489,7 +1390,7 @@ func (p *pipeline) worker() {
 		// fairness); with slots free the full batch amortizes the
 		// queue lock. The read is advisory — a slot freed or taken
 		// concurrently only shifts where the next batch cuts off.
-		max := p.cfg.DispatchBatch
+		max := dispatchBatch
 		if avail := cap(p.runSem) - len(p.runSem); avail < max {
 			max = avail
 			if max < 1 {
@@ -1505,9 +1406,7 @@ func (p *pipeline) worker() {
 			}
 			continue
 		}
-		if m := p.env.obsM; m != nil {
-			m.batchPops.Observe(float64(len(batch)))
-		}
+		p.env.obsM.batchPops.Observe(float64(len(batch)))
 		if len(batch) == max {
 			p.wake()
 		}
@@ -1551,9 +1450,7 @@ func (p *pipeline) process(job *Job) {
 	}
 	roundStart := time.Now()
 	table, err := sched.Schedule(job.Graph, cost)
-	if m := p.env.obsM; m != nil {
-		m.roundLatency.Observe(time.Since(roundStart).Seconds())
-	}
+	p.env.obsM.roundLatency.Observe(time.Since(roundStart).Seconds())
 	if err != nil {
 		job.fail(err)
 		p.gauge()
@@ -1576,10 +1473,8 @@ func (p *pipeline) process(job *Job) {
 		// when its turn comes.
 		p.admit.setParked(job, true)
 		job.stampEvent("host-park", "")
-		if m := p.env.obsM; m != nil {
-			m.hostParks.Inc()
-		}
-		p.log().Debug("job parked on held-hosts quota", "job_id", job.ID, "owner", job.Owner)
+		p.env.obsM.hostParks.Inc()
+		p.env.log.Debug("job parked on held-hosts quota", "job_id", job.ID, "owner", job.Owner)
 		go p.parkForHosts(job, table, needed)
 		return
 	}
@@ -1592,7 +1487,7 @@ func (p *pipeline) process(job *Job) {
 // is deliberate backpressure: with the engine saturated, workers park
 // here, the admission queue fills, and Submit blocks — so the total
 // number of admitted-but-unfinished jobs stays bounded by QueueDepth +
-// SchedulerWorkers·DispatchBatch + MaxConcurrentRuns, plus hosts-parked
+// SchedulerWorkers·dispatchBatch + MaxConcurrentRuns, plus hosts-parked
 // jobs (the pop-side parked gate bounds those per owner by the worker
 // count times the dispatch batch).
 // A job waiting for a slot
@@ -1772,9 +1667,7 @@ func (j *Job) canceled() bool {
 // gauge mirrors the in-flight job count into the visualization service,
 // the same channel the workload series use.
 func (p *pipeline) gauge() {
-	if p.env.Metrics != nil && p.env.Board != nil {
-		p.env.Metrics.Add("jobs:in-flight", time.Since(p.start), float64(p.env.Board.InFlight()))
-	}
+	p.env.Metrics.Add("jobs:in-flight", time.Since(p.start), float64(p.env.Board.InFlight()))
 }
 
 // stop fails every queued job and waits for in-flight work to settle.
@@ -1910,7 +1803,9 @@ func (p *pipeline) liveRows(owner, state string) func(services.JobStatus) (servi
 // upward while the job waits, so no submission starves — and are
 // executed on the shared testbed; use Job.Wait or Job.Done to observe
 // completion and Job.Cancel to abort. Submit blocks only while the
-// bounded admission queue is full (backpressure), honoring ctx.
+// bounded admission queue is full (backpressure), honoring ctx and
+// PipelineConfig.Shed. A Submit that returns an error leaves no job
+// behind.
 func (env *Environment) Submit(ctx context.Context, g *afg.Graph, opts ...SubmitOption) (*Job, error) {
 	o := submitOptions{home: -1}
 	for _, opt := range opts {

@@ -9,6 +9,7 @@ import (
 	"vdce/internal/afg"
 	"vdce/internal/repository"
 	"vdce/internal/services"
+	"vdce/internal/store"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -269,5 +270,60 @@ func TestJobStateStrings(t *testing.T) {
 		if got := state.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", state, got, want)
 		}
+	}
+}
+
+// TestSubmitCtxExpiryLeavesNoResidue pins the single admission path
+// with shedding off: a Submit whose ctx expires while the queue is full
+// returns an error and no handle, and leaves nothing behind — no board
+// row, no owner usage, no record in the durable store.
+func TestSubmitCtxExpiryLeavesNoResidue(t *testing.T) {
+	dir := t.TempDir()
+	env, err := New(Config{
+		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 36},
+		Pipeline: PipelineConfig{QueueDepth: 1, SchedulerWorkers: 1, MaxConcurrentRuns: 1},
+		StoreDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Suspend the console so running jobs park and the queue backs up.
+	env.Console.Suspend()
+	accepted, rejected := 0, 0
+	for i := 0; i < 6; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		job, err := env.Submit(ctx, soakGraph(t, i), WithOwner("ana"))
+		cancel()
+		switch {
+		case err == nil:
+			accepted++
+		case job != nil:
+			t.Fatalf("submit %d failed (%v) but returned a handle", i, err)
+		default:
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("queue never backpressured with a suspended console")
+	}
+	if got := len(env.Jobs()); got != accepted {
+		t.Errorf("board holds %d rows after %d accepted submissions (residue of %d rejected?)", got, accepted, rejected)
+	}
+	for _, o := range env.Owners() {
+		if o.Owner == "ana" && (o.Usage.Total != accepted || o.Usage.Failed != 0) {
+			t.Errorf("owner usage = %+v, want total %d and no failed jobs", o.Usage, accepted)
+		}
+	}
+	if err := env.Store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	env.Crash()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := len(st.Recovered().Jobs); got != accepted {
+		t.Errorf("store holds %d job records after %d accepted submissions", got, accepted)
 	}
 }

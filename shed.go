@@ -9,14 +9,15 @@ import (
 	"vdce/internal/afg"
 )
 
-// Adaptive load shedding. Before this layer existed, Submit on a full
-// queue blocked until a slot freed or the caller's context expired — so
-// a sustained overload turned every submitter into a parked goroutine
-// and an HTTP client into a hung request. With shedding enabled
-// (ShedConfig.MaxSubmitWait > 0) the admission path fails fast instead:
-// a typed *ShedError names why the submission was refused and how long
-// the client should wait before retrying. The editor maps it to
-// 503 + Retry-After, next to the 429 + Retry-After quota vocabulary.
+// Adaptive load shedding. Submit on a full queue waits for a slot until
+// its context ends, so under sustained overload every submitter becomes
+// a parked goroutine and every HTTP client a hung request. Shedding
+// bounds that: ShedConfig.MaxSubmitWait caps the slot wait, and
+// ShedConfig.CheckDeadline refuses a deadline the graph cannot meet
+// before any wait. Either way a typed *ShedError names why the
+// submission was refused and how long the client should wait before
+// retrying; the editor maps it to 503 + Retry-After, next to the
+// 429 + Retry-After quota vocabulary.
 
 // Shed reasons carried by ShedError.
 const (
@@ -28,9 +29,6 @@ const (
 	// critical path at catalog/learned base times), so admitting it
 	// would only burn capacity on work that is already lost.
 	ShedDeadlineInfeasible = "deadline-infeasible"
-	// ShedBreakerSaturated: too large a fraction of the site's hosts sit
-	// behind open circuit breakers to place new work responsibly.
-	ShedBreakerSaturated = "breaker-saturated"
 )
 
 // ErrShed matches every shed rejection via errors.Is.
@@ -43,8 +41,7 @@ type ShedError struct {
 	// RetryAfter is the suggested client backoff; HTTP surfaces emit it
 	// as a Retry-After header.
 	RetryAfter time.Duration
-	// Detail elaborates (queue depth, estimate vs deadline, open-host
-	// fraction).
+	// Detail elaborates (queue depth, estimate vs deadline).
 	Detail string
 }
 
@@ -59,11 +56,11 @@ func (e *ShedError) Error() string {
 func (e *ShedError) Is(target error) bool { return target == ErrShed }
 
 // ShedConfig tunes adaptive load shedding at admission. The zero value
-// disables shedding entirely, preserving the legacy block-until-slot
-// behavior.
+// sheds nothing: Submit waits for a queue slot until its context ends.
 type ShedConfig struct {
 	// MaxSubmitWait bounds how long Submit may wait for a queue slot
-	// before shedding with reason queue-full. 0 disables shedding.
+	// before shedding with reason queue-full. 0 waits until the
+	// caller's context ends.
 	MaxSubmitWait time.Duration
 	// RetryAfter is the backoff hint carried by ShedError (default 1s).
 	RetryAfter time.Duration
@@ -71,14 +68,6 @@ type ShedConfig struct {
 	// submission whose deadline is closer than the graph's critical-path
 	// lower bound (task-performance base times) sheds immediately.
 	CheckDeadline bool
-	// BreakerSaturation sheds new submissions while at least this
-	// fraction of the testbed's hosts have open circuit breakers
-	// (0 disables; sensible values sit around 0.5–0.75).
-	BreakerSaturation float64
-	// UnreadyShedRate is the /readyz threshold: the environment reports
-	// not-ready while more than this fraction of recent submissions was
-	// shed (default 0.5, over MeterWindow).
-	UnreadyShedRate float64
 	// MeterWindow is the sliding window of the shed-rate meter
 	// (default 5s).
 	MeterWindow time.Duration
@@ -91,9 +80,6 @@ func (c *ShedConfig) fillDefaults() {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.UnreadyShedRate <= 0 {
-		c.UnreadyShedRate = 0.5
-	}
 	if c.MeterWindow <= 0 {
 		c.MeterWindow = 5 * time.Second
 	}
@@ -102,8 +88,10 @@ func (c *ShedConfig) fillDefaults() {
 	}
 }
 
-// enabled reports whether the admission path sheds at all.
-func (c *ShedConfig) enabled() bool { return c.MaxSubmitWait > 0 }
+// unreadyShedRate is the /readyz threshold: the environment reports
+// not-ready while more than this fraction of the submissions in the
+// meter window was shed.
+const unreadyShedRate = 0.5
 
 // shedMeter measures the recent shed rate over a two-bucket sliding
 // window: cheap, lock-scoped, and exact enough for a readiness gate.
@@ -182,28 +170,20 @@ func (c *ShedConfig) shedError(reason, detail string) *ShedError {
 	return &ShedError{Reason: reason, RetryAfter: c.RetryAfter, Detail: detail}
 }
 
-// preAdmitShed runs the estimate-based shed checks that need no queue
-// slot: breaker saturation and deadline infeasibility. It returns nil
-// when the submission may proceed to admission.
-func (p *pipeline) preAdmitShed(spec submitSpec) *ShedError {
-	cfg := &p.shed
-	if !cfg.enabled() {
+// deadlineShed runs the deadline-infeasibility check, which needs no
+// queue slot. It returns nil when the submission may proceed to
+// admission.
+func (p *pipeline) deadlineShed(spec submitSpec) *ShedError {
+	if !p.shed.CheckDeadline || spec.deadline.IsZero() {
 		return nil
 	}
-	if cfg.BreakerSaturation > 0 && p.env.Breakers != nil {
-		total := len(p.env.TB.AllHosts())
-		if frac := p.env.Breakers.OpenFraction(total); frac >= cfg.BreakerSaturation {
-			return cfg.shedError(ShedBreakerSaturated,
-				fmt.Sprintf("%.0f%% of %d hosts quarantined", frac*100, total))
-		}
+	est, ok := p.minCompletionEstimate(spec.graph)
+	if !ok {
+		return nil
 	}
-	if cfg.CheckDeadline && !spec.deadline.IsZero() {
-		if est, ok := p.minCompletionEstimate(spec.graph); ok {
-			if remaining := time.Until(spec.deadline); remaining < est {
-				return cfg.shedError(ShedDeadlineInfeasible,
-					fmt.Sprintf("critical-path estimate %v exceeds remaining %v", est, remaining.Round(time.Millisecond)))
-			}
-		}
+	if remaining := time.Until(spec.deadline); remaining < est {
+		return p.shed.shedError(ShedDeadlineInfeasible,
+			fmt.Sprintf("critical-path estimate %v exceeds remaining %v", est, remaining.Round(time.Millisecond)))
 	}
 	return nil
 }
@@ -238,17 +218,14 @@ func (env *Environment) ShedStats() (accepted, shed int64) {
 // environment is not ready while the recovery replay of a durable store
 // still has re-admitted jobs waiting to reach a scheduler (the backlog
 // belongs to the previous incarnation, not new clients) and while the
-// admission path is shedding more than the configured fraction of
-// recent submissions.
+// admission path is shedding more than half of recent submissions.
 func (env *Environment) Ready() (bool, string) {
 	p := env.pipe
 	if n := p.recoveryPending.Load(); n > 0 {
 		return false, fmt.Sprintf("recovery replay: %d re-admitted jobs pending", n)
 	}
-	if p.shed.enabled() {
-		if rate, total := p.meter.rate(); total >= 4 && rate > p.shed.UnreadyShedRate {
-			return false, fmt.Sprintf("shedding %.0f%% of recent submissions", rate*100)
-		}
+	if rate, total := p.meter.rate(); total >= 4 && rate > unreadyShedRate {
+		return false, fmt.Sprintf("shedding %.0f%% of recent submissions", rate*100)
 	}
 	p.mu.Lock()
 	closed := p.closed

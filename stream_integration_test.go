@@ -16,11 +16,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"vdce/internal/jobsapi"
 	"vdce/internal/services"
+	"vdce/internal/testbed"
 )
 
 // sseFrames reads SSE frames off an open response body, invoking fn per
@@ -255,5 +257,73 @@ func TestQueuePositionCacheMatchesReplay(t *testing.T) {
 	defer cancel()
 	if err := env.Drain(drainCtx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stallWriter is an SSE response writer whose body writes block until
+// release closes: a client that stopped reading. The first blocked
+// write is signaled on stalled.
+type stallWriter struct {
+	hdr     http.Header
+	stalled chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *stallWriter) Header() http.Header { return w.hdr }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              {}
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestEventBufferBoundsStreamSubscribers pins PipelineConfig.EventBuffer
+// on the HTTP stream: a stalled /v1/events subscriber is evicted once
+// it falls EventBuffer events behind, not after the broker default.
+func TestEventBufferBoundsStreamSubscribers(t *testing.T) {
+	const buffer = 8
+	env := newEnv(t, Config{
+		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 7},
+		Pipeline: PipelineConfig{EventBuffer: buffer},
+	})
+	h := env.JobsHandler(jobsapi.Config{
+		Authenticate: func(*http.Request) (string, bool) { return "ana", true },
+	})
+	w := &stallWriter{hdr: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest("GET", "/v1/events", nil).WithContext(ctx)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(w, req)
+	}()
+	defer func() {
+		close(w.release)
+		cancel()
+		<-served
+	}()
+	broker := env.pipe.events
+	for broker.Subscribers() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	publish := func() {
+		broker.Publish(jobsapi.EventState, services.JobStatus{ID: "job-x", Owner: "ana", State: services.JobStateQueued})
+	}
+	// The first event is taken off the subscriber's buffer and its write
+	// stalls; the next buffer events fill the buffer.
+	publish()
+	<-w.stalled
+	for i := 0; i < buffer; i++ {
+		publish()
+	}
+	if n := broker.Subscribers(); n != 1 {
+		t.Fatalf("subscriber evicted with %d events buffered, want it kept until it falls %d behind", buffer, buffer)
+	}
+	publish()
+	if n := broker.Subscribers(); n != 0 {
+		t.Fatalf("stalled subscriber still attached %d events behind (buffer %d)", buffer+1, buffer)
 	}
 }

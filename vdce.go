@@ -107,9 +107,10 @@ type Config struct {
 	Retry exec.RetryConfig
 	// StartBreakers runs per-host circuit breakers (internal/breaker):
 	// watchdog failures and detector suspicions open a flapping host's
-	// breaker, quarantining it from placements until half-open probes
-	// succeed. Surfaced on GET /v1/hosts and consulted by the
-	// rescheduler and the admission path's breaker-saturation shed.
+	// breaker, quarantining it from rescheduling targets until
+	// half-open probes succeed (advisory: an open host still takes a
+	// task no other host can). Surfaced on GET /v1/hosts and consulted
+	// only by the rescheduler.
 	StartBreakers bool
 	// Breaker tunes the circuit breakers when StartBreakers is set; the
 	// zero value takes the breaker defaults.
@@ -746,9 +747,8 @@ func (env *Environment) JobsHandler(cfg jobsapi.Config) http.Handler {
 	return jobsapi.Handler(cfg)
 }
 
-// JobTrace returns the lifecycle trace of one retained job. It
-// satisfies jobsapi.TraceSource, so mounting the jobs API on an
-// Environment exposes traces as GET /v1/jobs/{id}/trace.
+// JobTrace returns the lifecycle trace of one retained job, served as
+// GET /v1/jobs/{id}/trace by the jobs API.
 func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
 	j, ok := env.pipe.job(id)
 	if !ok {
@@ -759,9 +759,8 @@ func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
 
 // Hosts reports every testbed host's health snapshot — host-model
 // up/down, failure-detector state (when a detector runs), and
-// circuit-breaker state (when breakers run). It satisfies
-// jobsapi.HostSource, so mounting the jobs API on an Environment
-// exposes the snapshot as GET /v1/hosts.
+// circuit-breaker state (when breakers run), served as GET /v1/hosts by
+// the jobs API.
 func (env *Environment) Hosts() []services.HostStatus {
 	var brk map[string]breaker.HostStatus
 	if env.Breakers != nil {
