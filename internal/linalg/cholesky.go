@@ -25,29 +25,34 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	}
 	tol := 1e-10 * scale
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(a.At(i, j)-a.At(j, i)) > tol {
-				return nil, fmt.Errorf("%w: asymmetric at (%d,%d)", ErrNotSPD, i, j)
+		for j, v := range a.Data[i*n+i+1 : (i+1)*n] {
+			if math.Abs(v-a.Data[(i+1+j)*n+i]) > tol {
+				return nil, fmt.Errorf("%w: asymmetric at (%d,%d)", ErrNotSPD, i, i+1+j)
 			}
 		}
 	}
+	// Each dot product runs over row slices in ascending k; that order
+	// fixes every bit of L, and oracle_test.go pins it.
 	l := New(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+		lj := l.Data[j*n : j*n+j]
+		d := a.Data[j*n+j]
+		for _, v := range lj {
+			d -= v * v
 		}
 		if d <= 0 {
 			return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotSPD, j, d)
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
+		l.Data[j*n+j] = ljj
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			li := l.Data[i*n : i*n+j]
+			li = li[:len(lj)]
+			s := a.Data[i*n+j]
+			for k, v := range lj {
+				s -= li[k] * v
 			}
-			l.Set(i, j, s/ljj)
+			l.Data[i*n+j] = s / ljj
 		}
 	}
 	return l, nil

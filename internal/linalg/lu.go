@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // LU holds the result of an LU decomposition with partial pivoting:
@@ -56,14 +57,16 @@ func Decompose(a *Matrix) (*LU, error) {
 				l.Set(k, j, lp)
 			}
 		}
+		// Each element of U takes one multiply and one subtraction per
+		// pivot, in pivot order; oracle_test.go pins the resulting bits.
 		pivot := u.At(k, k)
+		rk := u.Data[k*n+k+1 : (k+1)*n]
 		for i := k + 1; i < n; i++ {
-			m := u.At(i, k) / pivot
-			l.Set(i, k, m)
-			u.Set(i, k, 0)
-			for j := k + 1; j < n; j++ {
-				u.Set(i, j, u.At(i, j)-m*u.At(k, j))
-			}
+			row := u.Data[i*n : (i+1)*n]
+			m := row[k] / pivot
+			l.Data[i*n+k] = m
+			row[k] = 0
+			subScaled(row[k+1:], rk, m)
 		}
 	}
 	return &LU{L: l, U: u, Perm: perm, Swaps: swaps}, nil
@@ -91,6 +94,142 @@ func (lu *LU) Det() float64 {
 	return d
 }
 
+// IsPermutation reports whether p holds each of 0..len(p)-1 exactly once.
+func IsPermutation(p []int) bool {
+	seen := make([]bool, len(p))
+	for _, v := range p {
+		if v < 0 || v >= len(p) || seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
+}
+
+// Inverse returns the inverse of the decomposed matrix, solving
+// L*U*X = P for all n columns at once with up to workers goroutines
+// (fewer than 1 means 1). Every element of X is bit-identical to
+// solving its column alone with ForwardSub and BackSub: it takes the
+// same subtractions in the same order, only the loops run row by row
+// over contiguous slices instead of one dot product at a time.
+//
+// The solve works in pivot order: its column k is X's column Perm[k],
+// so its right-hand side is the identity and the forward phase computes
+// only the lower triangle of L⁻¹. The terms it skips multiply a ±0
+// entry of L⁻¹ and come before any non-zero term, so leaving them out
+// is exact. That holds when L's strictly lower part is finite, as
+// Decompose makes it for a finite matrix; otherwise every term is kept.
+// The columns are split into one contiguous block per worker; blocks
+// share no writes, so the workers need no barrier. A zero diagonal in
+// L, or one below 1e-300 in magnitude in U, returns ErrSingular as the
+// single-column solves do.
+func (lu *LU) Inverse(workers int) (*Matrix, error) {
+	l, u := lu.L, lu.U
+	n := u.Rows
+	if u.Cols != n || l.Rows != n || l.Cols != n || len(lu.Perm) != n {
+		return nil, fmt.Errorf("linalg: Inverse shape mismatch L=%dx%d U=%dx%d len(Perm)=%d", l.Rows, l.Cols, u.Rows, u.Cols, len(lu.Perm))
+	}
+	if !IsPermutation(lu.Perm) {
+		return nil, errors.New("linalg: Inverse: Perm is not a permutation")
+	}
+	skip := true
+	for i := 0; i < n; i++ {
+		if l.Data[i*n+i] == 0 || math.Abs(u.Data[i*n+i]) < 1e-300 {
+			return nil, ErrSingular
+		}
+		for _, v := range l.Data[i*n : i*n+i] {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				skip = false
+			}
+		}
+	}
+	workers = max(1, min(workers, n))
+	x := New(n, n)
+	per := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := per; lo < n; lo += per {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			lu.solveColumns(x, lo, hi, skip)
+		}(lo, min(lo+per, n))
+	}
+	lu.solveColumns(x, 0, per, skip)
+	wg.Wait()
+
+	// Move column k to column Perm[k], row by row in place through one
+	// row-sized buffer.
+	buf := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := x.Data[i*n : (i+1)*n]
+		copy(buf, row)
+		for k, p := range lu.Perm {
+			row[p] = buf[k]
+		}
+	}
+	return x, nil
+}
+
+// solveColumns overwrites columns [lo, hi) of the zero matrix x with
+// U⁻¹*L⁻¹ restricted to those columns: forward substitution top down,
+// then back substitution bottom up, both as row axpys. With skip, row i
+// of the forward phase takes from row j only its lower-triangle columns
+// (c <= j); the rest of L⁻¹'s row j is ±0.
+func (lu *LU) solveColumns(x *Matrix, lo, hi int, skip bool) {
+	n := x.Cols
+	l, u := lu.L.Data, lu.U.Data
+	for i := 0; i < n; i++ {
+		xi := x.Data[i*n+lo : i*n+hi]
+		if lo <= i && i < hi {
+			xi[i-lo] = 1
+		}
+		for j, f := range l[i*n : i*n+i] {
+			end := hi
+			if skip {
+				end = min(j+1, hi)
+			}
+			if end <= lo {
+				continue
+			}
+			subScaled(xi, x.Data[j*n+lo:j*n+end], f)
+		}
+		d := l[i*n+i]
+		for c := range xi {
+			xi[c] /= d
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		xi := x.Data[i*n+lo : i*n+hi]
+		for j, f := range u[i*n+i+1 : (i+1)*n] {
+			subScaled(xi, x.Data[(i+1+j)*n+lo:(i+1+j)*n+hi], f)
+		}
+		d := u[i*n+i]
+		for c := range xi {
+			xi[c] /= d
+		}
+	}
+}
+
+// subScaled sets dst[c] -= f*src[c] for every c < len(src), one
+// rounded multiply and one rounded subtraction per element, the axpy at
+// the heart of Decompose and Inverse. dst must be at least as long as
+// src. The loop is unrolled by four; the elements are independent, so
+// the unrolling does not change any result.
+func subScaled(dst, src []float64, f float64) {
+	dst = dst[:len(src)]
+	c := 0
+	for ; c+4 <= len(src); c += 4 {
+		s, d := src[c:c+4:c+4], dst[c:c+4:c+4]
+		d[0] -= f * s[0]
+		d[1] -= f * s[1]
+		d[2] -= f * s[2]
+		d[3] -= f * s[3]
+	}
+	for ; c < len(src); c++ {
+		dst[c] -= f * src[c]
+	}
+}
+
 // ForwardSub solves L*y = b for unit lower-triangular L.
 func ForwardSub(l *Matrix, b []float64) ([]float64, error) {
 	n := l.Rows
@@ -99,13 +238,15 @@ func ForwardSub(l *Matrix, b []float64) ([]float64, error) {
 	}
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
+		li := l.Data[i*n : i*n+i+1]
 		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l.At(i, j) * y[j]
+		prev := y[:i]
+		for j, v := range li[:i] {
+			s -= v * prev[j]
 		}
 		// L is unit lower triangular: diagonal is 1, but divide anyway to
 		// support general lower-triangular systems.
-		d := l.At(i, i)
+		d := li[i]
 		if d == 0 {
 			return nil, ErrSingular
 		}
@@ -122,11 +263,14 @@ func BackSub(u *Matrix, y []float64) ([]float64, error) {
 	}
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
+		ui := u.Data[i*n+i+1 : (i+1)*n]
 		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= u.At(i, j) * x[j]
+		next := x[i+1:]
+		next = next[:len(ui)]
+		for j, v := range ui {
+			s -= v * next[j]
 		}
-		d := u.At(i, i)
+		d := u.Data[i*n+i]
 		if math.Abs(d) < 1e-300 {
 			return nil, ErrSingular
 		}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -142,5 +143,22 @@ func BenchmarkLUDecompose128(b *testing.B) {
 		if _, err := Decompose(a); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkLUInverse128(b *testing.B) {
+	lu, err := Decompose(RandomDiagonallyDominant(128, 5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := lu.Inverse(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

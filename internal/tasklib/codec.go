@@ -159,7 +159,10 @@ func AppendValue(dst []byte, v Value) ([]byte, error) {
 
 // DecodeValue reverses EncodeValue. It never panics on malformed input,
 // and it refuses a declared length or element count before allocating
-// for it when the remaining bytes cannot hold it.
+// for it when the remaining bytes cannot hold it. It also refuses
+// values the matrix tasks could index out of range with: a matrix
+// whose Data is not Rows*Cols long, and an LUResult whose factors or
+// Perm disagree in shape (see checkLU).
 func DecodeValue(data []byte) (Value, error) {
 	d := decoder{b: data}
 	v := d.value()
@@ -333,13 +336,52 @@ func (d *decoder) floats() []float64 {
 	return out
 }
 
+// matrix reads a matrix and refuses one whose Data does not hold exactly
+// Rows*Cols elements, so no kernel indexes past it.
 func (d *decoder) matrix() *linalg.Matrix {
-	if d.present() {
-		m := &linalg.Matrix{Rows: d.int(), Cols: d.int()}
-		m.Data = d.floats()
-		return m
+	if !d.present() {
+		return nil
 	}
-	return nil
+	m := &linalg.Matrix{Rows: d.int(), Cols: d.int()}
+	if d.err == nil && (m.Rows < 0 || m.Cols < 0) {
+		d.fail(fmt.Errorf("negative matrix dimensions %dx%d", m.Rows, m.Cols))
+	}
+	m.Data = d.floats()
+	if d.err == nil && !holdsShape(len(m.Data), m.Rows, m.Cols) {
+		d.fail(fmt.Errorf("matrix %dx%d holds %d elements", m.Rows, m.Cols, len(m.Data)))
+	}
+	return m
+}
+
+// holdsShape reports whether n == rows*cols for non-negative rows and
+// cols, without forming a product that could overflow.
+func holdsShape(n, rows, cols int) bool {
+	if rows == 0 || cols == 0 {
+		return n == 0
+	}
+	return n%cols == 0 && n/cols == rows
+}
+
+// checkLU refuses an LUResult a solver task could index out of range
+// with: a present L or U that is not square, L and U of different
+// orders, or a Perm that is not a permutation of 0..n-1 when both Perm
+// and a factor of order n are present. The solver tasks refuse missing
+// factors themselves, and the Perm-consuming ones check its length.
+func (d *decoder) checkLU(lu *LUResult) {
+	n := -1
+	for _, m := range []*linalg.Matrix{lu.L, lu.U} {
+		if m == nil {
+			continue
+		}
+		if m.Rows != m.Cols || (n >= 0 && m.Rows != n) {
+			d.fail(fmt.Errorf("LU factors are not square of one order (%dx%d)", m.Rows, m.Cols))
+			return
+		}
+		n = m.Rows
+	}
+	if n >= 0 && lu.Perm != nil && (len(lu.Perm) != n || !linalg.IsPermutation(lu.Perm)) {
+		d.fail(fmt.Errorf("LU Perm is not a permutation of 0..%d", n-1))
+	}
 }
 
 // present reads a pointer's presence byte.
@@ -396,6 +438,9 @@ func (d *decoder) value() Value {
 			}
 		}
 		lu.Swaps = d.int()
+		if d.err == nil {
+			d.checkLU(lu)
+		}
 		return lu
 	case tagTracks:
 		n, isNil := d.count(minTrack)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"testing"
@@ -157,6 +158,133 @@ func TestCodecRejectsUnsupportedAndMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesInputsThatCrashMatrixTasks pins two values the
+// decoder once accepted and a matrix task then indexed out of range
+// with, on a task goroutine where the panic ended the process.
+func TestDecodeRefusesInputsThatCrashMatrixTasks(t *testing.T) {
+	for _, tc := range []struct {
+		name, task string
+		in         []Value
+	}{
+		{"4x1 matrix holding 1 element", "Matrix_Multiplication",
+			[]Value{&linalg.Matrix{Rows: 4, Cols: 1, Data: []float64{1}}, []float64{1}}},
+		{"LU Perm naming row 5 of 2", "Matrix_Inversion",
+			[]Value{&LUResult{L: linalg.Identity(2), U: linalg.Identity(2), Perm: []int{5, 0}}}},
+	} {
+		in := make([]Value, len(tc.in))
+		var refused error
+		for i, v := range tc.in {
+			data, err := EncodeValue(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in[i], err = DecodeValue(data); err != nil {
+				refused = err
+			}
+		}
+		if refused != nil {
+			continue
+		}
+		spec, err := Default().Get(tc.task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: decoded, and %s panicked: %v", tc.name, tc.task, r)
+				}
+			}()
+			_, err := spec.Fn(&Context{In: in, Nodes: 2})
+			t.Errorf("%s: decoded, and %s returned %v", tc.name, tc.task, err)
+		}()
+	}
+}
+
+func TestDecodeRefusesInconsistentShapes(t *testing.T) {
+	matrix := func(rows, cols, n int) []byte {
+		b := binary.AppendVarint([]byte{tagMatrix, 1}, int64(rows))
+		b = binary.AppendVarint(b, int64(cols))
+		return appendFloats(b, make([]float64, n))
+	}
+	lu := func(l, u *linalg.Matrix, perm []int) []byte {
+		data, err := EncodeValue(&LUResult{L: l, U: u, Perm: perm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for name, data := range map[string][]byte{
+		"negative rows":          matrix(-2, -3, 6),
+		"negative cols":          matrix(0, -1, 0),
+		"too few elements":       matrix(3, 3, 8),
+		"too many elements":      matrix(2, 2, 5),
+		"zero rows with data":    matrix(0, 4, 4),
+		"product overflows":      matrix(1<<32, 1<<32, 0),
+		"non-square L":           lu(linalg.New(2, 3), nil, nil),
+		"non-square U":           lu(nil, linalg.New(3, 2), nil),
+		"factors of two orders":  lu(linalg.Identity(2), linalg.Identity(3), nil),
+		"short Perm":             lu(linalg.Identity(3), linalg.Identity(3), []int{0, 1}),
+		"repeated Perm entry":    lu(linalg.Identity(3), nil, []int{0, 2, 2}),
+		"negative Perm entry":    lu(nil, linalg.Identity(2), []int{-1, 0}),
+		"Perm of an empty order": lu(&linalg.Matrix{}, nil, []int{0}),
+	} {
+		if v, err := DecodeValue(data); err == nil {
+			t.Errorf("%s: decoded %#v", name, v)
+		}
+	}
+	// Shapes that hold stay decodable: an empty matrix, and an LUResult
+	// with no factor to give Perm an order.
+	for name, data := range map[string][]byte{
+		"0x3 empty":        matrix(0, 3, 0),
+		"2x3":              matrix(2, 3, 6),
+		"Perm without L/U": lu(nil, nil, []int{7, 7}),
+		"valid LU":         lu(linalg.Identity(3), linalg.Identity(3), []int{2, 0, 1}),
+	} {
+		if _, err := DecodeValue(data); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// checkDecodedShapes asserts the shape invariants DecodeValue promises
+// the matrix tasks.
+func checkDecodedShapes(t *testing.T, v Value) {
+	t.Helper()
+	matrixOK := func(m *linalg.Matrix) bool {
+		if m == nil {
+			return true
+		}
+		hi, lo := bits.Mul64(uint64(m.Rows), uint64(m.Cols))
+		return m.Rows >= 0 && m.Cols >= 0 && hi == 0 && lo == uint64(len(m.Data))
+	}
+	switch x := v.(type) {
+	case *linalg.Matrix:
+		if !matrixOK(x) {
+			t.Fatalf("decoded a %dx%d matrix holding %d elements", x.Rows, x.Cols, len(x.Data))
+		}
+	case *LUResult:
+		if x == nil {
+			return
+		}
+		if !matrixOK(x.L) || !matrixOK(x.U) {
+			t.Fatal("decoded an LU factor whose Data does not fit its shape")
+		}
+		n := -1
+		for _, m := range []*linalg.Matrix{x.L, x.U} {
+			if m != nil {
+				if m.Rows != m.Cols || (n >= 0 && n != m.Rows) {
+					t.Fatal("decoded LU factors that are not square of one order")
+				}
+				n = m.Rows
+			}
+		}
+		if n >= 0 && x.Perm != nil && (len(x.Perm) != n || !linalg.IsPermutation(x.Perm)) {
+			t.Fatalf("decoded Perm %v for factors of order %d", x.Perm, n)
+		}
+	}
+}
+
 // decodeAllocBytes reports the bytes one DecodeValue(data) allocates:
 // the least of a few runs, so allocations by the fuzzing machinery's own
 // goroutines do not count.
@@ -175,8 +303,10 @@ func decodeAllocBytes(data []byte) uint64 {
 // FuzzDecodeValue asserts that no input panics the decoder, that the
 // decoder allocates no more than a small multiple of the input (element
 // counts are checked against the remaining bytes before any slice is
-// made), and that whatever decodes re-encodes to a fixed point (varints
-// may arrive padded, so the first re-encoding can be shorter).
+// made), that every decoded matrix holds exactly Rows*Cols elements and
+// every decoded LUResult's factors and Perm agree in shape, and that
+// whatever decodes re-encodes to a fixed point (varints may arrive
+// padded, so the first re-encoding can be shorter).
 func FuzzDecodeValue(f *testing.F) {
 	for _, v := range []Value{
 		nil, 2.5, "s", []byte{1}, []float64{1, 2}, []complex128{1i}, linalg.Identity(2),
@@ -202,6 +332,7 @@ func FuzzDecodeValue(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkDecodedShapes(t, v)
 		again, err := EncodeValue(v)
 		if err != nil {
 			t.Fatalf("decoded %T does not re-encode: %v", v, err)

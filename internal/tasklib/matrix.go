@@ -244,35 +244,16 @@ func registerMatrixLibrary(reg func(Spec)) {
 			Parallelizable:     true,
 			SerialFraction:     0.1,
 		},
-		// Inverts from a prior LU decomposition by solving n unit systems.
+		// Inverts from a prior LU decomposition, all columns in one solve
+		// split over the granted nodes.
 		Fn: func(c *Context) ([]Value, error) {
 			lu, err := luInput(c, 0)
 			if err != nil {
 				return nil, err
 			}
-			n := lu.U.Rows
-			inv := linalg.New(n, n)
-			e := make([]float64, n)
-			for col := 0; col < n; col++ {
-				for i := range e {
-					e[i] = 0
-				}
-				e[col] = 1
-				pb := make([]float64, n)
-				for i, src := range lu.Perm {
-					pb[i] = e[src]
-				}
-				y, err := linalg.ForwardSub(lu.L, pb)
-				if err != nil {
-					return nil, err
-				}
-				x, err := linalg.BackSub(lu.U, y)
-				if err != nil {
-					return nil, err
-				}
-				for i := 0; i < n; i++ {
-					inv.Set(i, col, x[i])
-				}
+			inv, err := (&linalg.LU{L: lu.L, U: lu.U, Perm: lu.Perm}).Inverse(c.Nodes)
+			if err != nil {
+				return nil, err
 			}
 			return []Value{inv}, nil
 		},
@@ -378,6 +359,15 @@ func luInput(c *Context, i int) (*LUResult, error) {
 	lu, ok := c.In[i].(*LUResult)
 	if !ok {
 		return nil, fmt.Errorf("tasklib: input %d is %T, want *LUResult", i, c.In[i])
+	}
+	if lu == nil {
+		return nil, fmt.Errorf("tasklib: input %d is a nil LUResult", i)
+	}
+	if err := checkMatrix(i, lu.L); err != nil {
+		return nil, fmt.Errorf("%w (factor L)", err)
+	}
+	if err := checkMatrix(i, lu.U); err != nil {
+		return nil, fmt.Errorf("%w (factor U)", err)
 	}
 	return lu, nil
 }

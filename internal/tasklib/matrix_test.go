@@ -1,6 +1,7 @@
 package tasklib
 
 import (
+	"math"
 	"testing"
 
 	"vdce/internal/linalg"
@@ -170,5 +171,141 @@ func TestCholeskyTask(t *testing.T) {
 	gspec, _ := r.Get("SPD_Generate")
 	if _, err := gspec.Fn(&Context{Args: map[string]string{"n": "0"}}); err == nil {
 		t.Fatal("n=0 accepted")
+	}
+}
+
+// columnInverse is the column-by-column inversion Matrix_Inversion ran
+// before it called linalg's Inverse: n unit systems, each through
+// ForwardSub and BackSub (themselves checked bit for bit against the
+// element-wise kernels in linalg's oracle test).
+func columnInverse(lu *LUResult) (*linalg.Matrix, error) {
+	n := lu.U.Rows
+	inv := linalg.New(n, n)
+	e := make([]float64, n)
+	for col := 0; col < n; col++ {
+		for i := range e {
+			e[i] = 0
+		}
+		e[col] = 1
+		pb := make([]float64, n)
+		for i, src := range lu.Perm {
+			pb[i] = e[src]
+		}
+		y, err := linalg.ForwardSub(lu.L, pb)
+		if err != nil {
+			return nil, err
+		}
+		x, err := linalg.BackSub(lu.U, y)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			inv.Set(i, col, x[i])
+		}
+	}
+	return inv, nil
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestMatrixInversionBitIdenticalAcrossNodes(t *testing.T) {
+	r := Default()
+	for _, n := range []int{1, 5, 33, 64} {
+		for _, a := range []*linalg.Matrix{linalg.RandomDiagonallyDominant(n, 3), linalg.RandomMatrix(n, n, 4)} {
+			luOut := run(t, r, "LU_Decomposition", &Context{In: []Value{a}})
+			want, err := columnInverse(luOut[0].(*LUResult))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, nodes := range []int{1, 2} {
+				got := run(t, r, "Matrix_Inversion", &Context{In: luOut, Nodes: nodes})[0].(*linalg.Matrix)
+				if !sameBits(got.Data, want.Data) {
+					t.Fatalf("n=%d nodes=%d: inverse differs from the column solves", n, nodes)
+				}
+			}
+		}
+	}
+}
+
+// TestLESResidualMatchesColumnPath runs the Fig. 1 solver through
+// RunLocal and recomputes its result along the column-by-column path:
+// the solution and its residual must carry the same bits.
+func TestLESResidualMatchesColumnPath(t *testing.T) {
+	for _, n := range []int{16, 48} {
+		seed := int64(n)
+		g, err := BuildLinearEquationSolver(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := RunLocal(g, Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := linalg.RandomDiagonallyDominant(n, seed)
+		b := linalg.RandomVector(n, seed+1)
+		lu, err := linalg.Decompose(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := columnInverse(&LUResult{L: lu.L, U: lu.U, Perm: lu.Perm, Swaps: lu.Swaps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := linalg.MatVec(inv, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := linalg.Residual(a, x, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range g.Tasks {
+			switch task.Name {
+			case "Matrix_Multiplication":
+				if got := results[task.ID][0].([]float64); !sameBits(got, x) {
+					t.Fatalf("n=%d: solution differs from the column path", n)
+				}
+			case "Residual_Norm":
+				if got := results[task.ID][0].(float64); math.Float64bits(got) != math.Float64bits(res) {
+					t.Fatalf("n=%d: Residual_Norm %v, column path %v", n, got, res)
+				}
+			}
+		}
+	}
+}
+
+func TestMatrixTasksRefuseEmptyInputs(t *testing.T) {
+	r := Default()
+	for _, tc := range []struct {
+		task string
+		in   []Value
+	}{
+		{"LU_Decomposition", []Value{&linalg.Matrix{}}},
+		{"LU_Decomposition", []Value{(*linalg.Matrix)(nil)}},
+		{"Matrix_Transpose", []Value{&linalg.Matrix{Rows: 3}}},
+		{"Matrix_Inversion", []Value{(*LUResult)(nil)}},
+		{"Matrix_Inversion", []Value{&LUResult{U: linalg.Identity(2), Perm: []int{0, 1}}}},
+		{"Matrix_Inversion", []Value{&LUResult{L: linalg.Identity(2), Perm: []int{0, 1}}}},
+		{"Matrix_Inversion", []Value{&LUResult{L: &linalg.Matrix{}, U: &linalg.Matrix{}, Perm: []int{}}}},
+		{"Matrix_Inversion", []Value{&LUResult{L: linalg.Identity(2), U: linalg.Identity(2)}}},
+		{"Back_Substitution", []Value{&LUResult{L: linalg.Identity(2)}, []float64{1, 2}}},
+	} {
+		spec, err := r.Get(tc.task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := spec.Fn(&Context{In: tc.in, Nodes: 2}); err == nil {
+			t.Errorf("%s accepted %#v", tc.task, tc.in[0])
+		}
 	}
 }

@@ -88,7 +88,21 @@ func (c *Context) Matrix(i int) (*linalg.Matrix, error) {
 	if !ok {
 		return nil, fmt.Errorf("tasklib: input %d is %T, want *linalg.Matrix", i, c.In[i])
 	}
+	if err := checkMatrix(i, m); err != nil {
+		return nil, err
+	}
 	return m, nil
+}
+
+// checkMatrix refuses a matrix the linalg kernels cannot take: nil or
+// with no rows or columns. linalg.New makes neither; a decoded value can
+// be either, and the decoder has already checked len(Data) against the
+// shape.
+func checkMatrix(i int, m *linalg.Matrix) error {
+	if m == nil || m.Rows < 1 || m.Cols < 1 {
+		return fmt.Errorf("tasklib: input %d is an empty matrix", i)
+	}
+	return nil
 }
 
 // Vector extracts input port i as a vector.
