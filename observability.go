@@ -31,14 +31,12 @@ type envMetrics struct {
 	batchPops *obs.Histogram
 
 	// Job lifecycle phase durations, observed when each boundary is
-	// crossed or at terminalize.
-	phaseQueueWait    *obs.Histogram // admitted → scheduled
-	phaseDispatchWait *obs.Histogram // scheduled → dispatched
-	phaseRun          *obs.Histogram // running → terminal
-	phaseTotal        *obs.Histogram // submitted → terminal
-	completedDone     *obs.Counter
-	completedFailed   *obs.Counter
-	completedCanceled *obs.Counter
+	// crossed or at the terminal move.
+	phaseQueueWait    *obs.Histogram  // admitted → scheduled
+	phaseDispatchWait *obs.Histogram  // scheduled → dispatched
+	phaseRun          *obs.Histogram  // running → terminal
+	phaseTotal        *obs.Histogram  // submitted → terminal
+	completed         [3]*obs.Counter // by terminal state, from JobDone
 	hostParks         *obs.Counter
 
 	// Execution recovery (fed by the engine's per-job event stream).
@@ -86,9 +84,8 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 		phaseDispatchWait: phase.With("dispatch_wait"),
 		phaseRun:          phase.With("run"),
 		phaseTotal:        phase.With("total"),
-		completedDone:     completed.With(services.JobStateDone),
-		completedFailed:   completed.With(services.JobStateFailed),
-		completedCanceled: completed.With(services.JobStateCanceled),
+		completed: [3]*obs.Counter{completed.With(services.JobStateDone),
+			completed.With(services.JobStateFailed), completed.With(services.JobStateCanceled)},
 		hostParks: reg.Counter("vdce_dispatch_host_parks_total",
 			"Scheduled jobs parked on the per-owner held-hosts quota.").With(),
 		reschedules: reg.Counter("vdce_exec_reschedules_total",

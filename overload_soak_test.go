@@ -350,7 +350,7 @@ func TestReadyzGates(t *testing.T) {
 		t.Fatalf("fresh environment not ready: %s", reason)
 	}
 	// Recovery replay pending: not ready until the last adopted job is
-	// claimed (noteReplayDone decrements the gauge).
+	// claimed (the claim's advance decrements the gauge).
 	env.pipe.recoveryPending.Store(2)
 	if ready, reason := env.Ready(); ready || reason == "" {
 		t.Fatalf("Ready() = %v (%q) with replay pending, want not-ready with a reason", ready, reason)

@@ -119,6 +119,44 @@ const (
 	JobCanceled
 )
 
+// Replay sources: the state a handle rebuilt from a durable record
+// holds until boot replay moves it onto the lifecycle.
+const (
+	// replayLive: the record was queued, scheduling or running.
+	replayLive JobState = JobCanceled + 1 + iota
+	// replayTerminal: the record was done, failed or canceled, or its
+	// graph no longer decodes.
+	replayTerminal
+	numStates
+)
+
+// edge is the kind of one lifecycle move, and with it the side effects
+// advance performs for the move.
+type edge uint8
+
+const (
+	refused edge = iota // not a lifecycle move: nothing happens
+	forward             // a live move of this incarnation
+	readopt             // replay: a non-terminal record re-enters the queue
+	restore             // replay: a terminal record's board row comes back
+	expire              // replay: the deadline passed while the control plane was down
+)
+
+// lifecycle is the job lifecycle: lifecycle[from][to] is the kind of
+// the move, refused wherever the table is silent. Live jobs only move
+// forward, terminal states have no way out, and nothing moves into a
+// replay source: only boot replay builds a handle in one.
+var lifecycle = [numStates][numStates]edge{
+	JobQueued:      {JobScheduling: forward, JobFailed: forward, JobCanceled: forward},
+	JobScheduling:  {JobRunning: forward, JobFailed: forward, JobCanceled: forward},
+	JobRunning:     {JobDone: forward, JobFailed: forward, JobCanceled: forward},
+	replayLive:     {JobQueued: readopt, JobFailed: expire},
+	replayTerminal: {JobDone: restore, JobFailed: restore, JobCanceled: restore},
+}
+
+// terminal reports whether s is done, failed or canceled.
+func (s JobState) terminal() bool { return s == JobDone || s == JobFailed || s == JobCanceled }
+
 // String returns the services-layer state name.
 func (s JobState) String() string {
 	switch s {
@@ -251,14 +289,19 @@ func WithLabels(labels map[string]string) SubmitOption {
 
 // Job is one application moving through the submission pipeline.
 //
-// Lifecycle contract: Done returns a channel that is closed exactly once,
-// when the job reaches a terminal state (done, failed, or canceled); no
-// state transitions happen after it closes. Wait blocks on that channel
-// and returns the job's own terminal error — nil for success,
-// ErrJobCanceled after Cancel, ErrJobDeadlineExceeded after a deadline
-// expiry, the scheduling/execution error otherwise. When Wait's ctx ends
-// first, Wait returns the ctx error, but a job that is already terminal
-// always reports its own error even if ctx is also done.
+// Lifecycle contract: a job moves only along the edges of one table —
+// queued → scheduling | failed | canceled, scheduling → running |
+// failed | canceled, running → done | failed | canceled — and boot
+// replay re-adopts a recovered non-terminal job as queued. Every other
+// move is refused: states only move forward, and terminal states never
+// change. Done returns a channel that is closed exactly once, when the
+// job reaches a terminal state (done, failed, or canceled). Wait blocks
+// on that channel and returns the job's own terminal error — nil for
+// success, ErrJobCanceled after Cancel, ErrJobDeadlineExceeded after a
+// deadline expiry, the scheduling/execution error otherwise. When
+// Wait's ctx ends first, Wait returns the ctx error, but a job that is
+// already terminal always reports its own error even if ctx is also
+// done.
 type Job struct {
 	// ID is the pipeline-assigned identifier ("job-<n>").
 	ID string
@@ -425,13 +468,12 @@ func (j *Job) Wait(ctx context.Context) error {
 // is JobCanceled with Err() == ErrJobCanceled.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
+	if j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
-	already := j.cancelRequested
-	j.cancelRequested = true
-	if !already {
+	if !j.cancelRequested {
+		j.cancelRequested = true
 		close(j.cancelCh)
 	}
 	queued := j.state == JobQueued
@@ -444,7 +486,7 @@ func (j *Job) Cancel() {
 		if j.pipe.admit.remove(j.ID) {
 			j.pipe.releaseSlot()
 		}
-		j.terminalize(JobCanceled, ErrJobCanceled, nil)
+		j.advance(JobCanceled, ErrJobCanceled, nil)
 		return
 	}
 	if cancel != nil {
@@ -485,14 +527,6 @@ func (j *Job) stampLocked(event, detail string, at time.Time) time.Time {
 func (j *Job) stampEvent(event, detail string) {
 	j.mu.Lock()
 	j.stampLocked(event, detail, time.Now())
-	j.mu.Unlock()
-}
-
-// stampAdmitted records admission-queue entry at the given instant.
-func (j *Job) stampAdmitted(at time.Time) {
-	j.mu.Lock()
-	j.admitted = at
-	j.stampLocked(services.PhaseAdmitted, "", at)
 	j.mu.Unlock()
 }
 
@@ -639,6 +673,12 @@ func (j *Job) Status() services.JobStatus {
 // instead of one per job.
 func (j *Job) statusSnapshot() services.JobStatus {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is statusSnapshot for a caller holding j.mu.
+func (j *Job) statusLocked() services.JobStatus {
 	s := services.JobStatus{
 		ID:          j.ID,
 		App:         j.Graph.Name,
@@ -662,93 +702,44 @@ func (j *Job) statusSnapshot() services.JobStatus {
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
-	j.mu.Unlock()
 	return s
 }
 
 // expireQueued is the deadline timer's callback: a job still queued at
 // its deadline is dropped — removed from the admission queue, its slot
-// released — exactly like an eager Cancel, but terminalizing as failed
-// with ErrJobDeadlineExceeded. Jobs already claimed by a worker are
-// covered by the run context's deadline instead.
+// released — exactly like an eager Cancel, but failing with
+// ErrJobDeadlineExceeded. Jobs already claimed by a worker are covered
+// by the run context's deadline instead.
 func (j *Job) expireQueued() {
 	j.mu.Lock()
-	if j.state != JobQueued || j.cancelRequested {
-		j.mu.Unlock()
+	queued := j.state == JobQueued && !j.cancelRequested
+	j.mu.Unlock()
+	if !queued {
 		return
 	}
-	j.mu.Unlock()
 	if j.pipe.admit.remove(j.ID) {
 		j.pipe.releaseSlot()
 	}
-	j.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
+	j.advance(JobFailed, ErrJobDeadlineExceeded, nil)
 }
 
-// claimForScheduling atomically moves a popped job from queued to
-// scheduling. It returns false — terminalizing the job as appropriate —
-// when the job was canceled while queued or its deadline already
-// expired, so such jobs never reach a scheduling round.
+// claimForScheduling moves a popped job from queued to scheduling and
+// reports whether it did. A job canceled while queued, or whose
+// deadline already passed, ends instead, so it never reaches a
+// scheduling round.
 func (j *Job) claimForScheduling() bool {
-	j.mu.Lock()
-	if j.state != JobQueued {
-		// Cancel terminalized it between pop and claim.
-		j.mu.Unlock()
-		return false
+	switch {
+	case j.canceled():
+		j.advance(JobCanceled, ErrJobCanceled, nil)
+	case !j.deadline.IsZero() && time.Now().After(j.deadline):
+		j.advance(JobFailed, ErrJobDeadlineExceeded, nil)
+	case j.advance(JobScheduling, nil, nil):
+		return true
+	default:
+		// Terminal already, or a Cancel landed after the check above.
+		j.advance(JobCanceled, ErrJobCanceled, nil)
 	}
-	if j.cancelRequested {
-		j.mu.Unlock()
-		j.terminalize(JobCanceled, ErrJobCanceled, nil)
-		return false
-	}
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		j.mu.Unlock()
-		j.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
-		return false
-	}
-	j.state = JobScheduling
-	j.mu.Unlock()
-	j.noteReplayDone()
-	j.publish()
-	j.pipe.persistState(j)
-	return true
-}
-
-// noteReplayDone clears the job's recovery-replay pending mark and
-// decrements the pipeline's replay-backlog gauge; idempotent, a no-op
-// for jobs the boot replay never touched.
-func (j *Job) noteReplayDone() {
-	j.mu.Lock()
-	pending := j.replayPending
-	j.replayPending = false
-	j.mu.Unlock()
-	if pending {
-		j.pipe.recoveryPending.Add(-1)
-	}
-}
-
-// setRunCancel installs the running phase's cancel function. It returns
-// false when cancellation was already requested, in which case the
-// caller must not start the execution.
-func (j *Job) setRunCancel(c context.CancelFunc) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelRequested {
-		return false
-	}
-	j.runCancel = c
-	return true
-}
-
-// transition moves the job to a non-terminal state and publishes it.
-func (j *Job) transition(s JobState) {
-	j.mu.Lock()
-	j.state = s
-	if s == JobRunning && j.started.IsZero() {
-		j.started = j.stampLocked(services.PhaseRunning, "", time.Now())
-	}
-	j.mu.Unlock()
-	j.publish()
-	j.pipe.persistState(j)
+	return false
 }
 
 // setTable records the scheduling artifact.
@@ -758,75 +749,117 @@ func (j *Job) setTable(t *core.AllocationTable) {
 	j.mu.Unlock()
 }
 
-// terminalize moves the job to a terminal state exactly once; later
-// calls (a Cancel racing a worker, shutdown racing a deadline) are
-// no-ops. It reports whether this call won.
-func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
+// advance moves the job to state to along one edge of the lifecycle
+// table, with cause as its error and res as its execution result, and
+// reports whether it moved. A move the table refuses — out of a
+// terminal state, backward, or into a replay source — does nothing at
+// all, and neither does a live move to scheduling or running once
+// Cancel was requested. So of racing
+// terminal moves (Cancel, a deadline, shutdown, the run's own end)
+// exactly one wins and the losers return false.
+//
+// The side effects run in one fixed order, each only on the edges that
+// have it: (1) state, error and result; (2) the trace stamp and the
+// started/finished times; (3) held hosts cleared and the expiry timer
+// stopped; (4) phase histograms, completion counters and the log line;
+// (5) the replay backlog; (6) the quota release; (7) publication, where
+// a restore updates only the board row; (8) the durable record,
+// suppressed once the pipeline's context ended; (9) Done closes; (10) the
+// in-flight gauge.
+func (j *Job) advance(to JobState, cause error, res *exec.Result) bool {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
+	e := lifecycle[j.state][to]
+	live, terminal := e == forward, to.terminal()
+	if e == refused || live && !terminal && j.cancelRequested {
 		j.mu.Unlock()
 		return false
 	}
-	j.state = state
-	j.err = err
-	j.result = res
-	detail := ""
-	if err != nil {
-		detail = err.Error()
+	j.state, j.err, j.result = to, cause, res
+	switch {
+	case terminal:
+		// A replayed terminal move keeps the record's finish time.
+		at := j.finished
+		if live {
+			at = time.Now()
+		}
+		detail := ""
+		if cause != nil {
+			detail = cause.Error()
+		}
+		j.finished = j.stampLocked(to.String(), detail, at)
+		j.hostsHeld = 0
+		if j.expiry != nil {
+			j.expiry.Stop()
+		}
+	case to == JobRunning && j.started.IsZero():
+		j.started = j.stampLocked(services.PhaseRunning, "", time.Now())
 	}
-	j.finished = j.stampLocked(state.String(), detail, time.Now())
-	j.hostsHeld = 0
-	expiry := j.expiry
-	runDur := time.Duration(0)
-	if !j.started.IsZero() {
-		runDur = j.finished.Sub(j.started)
+	replayDone := live && j.replayPending
+	if live {
+		j.replayPending = false
 	}
-	totalDur := time.Duration(0)
-	if !j.submitted.IsZero() {
-		totalDur = j.finished.Sub(j.submitted)
-	}
+	s := j.statusLocked()
 	j.mu.Unlock()
-	if expiry != nil {
-		expiry.Stop()
+
+	p := j.pipe
+	if live && terminal {
+		var runDur, totalDur time.Duration
+		if !s.StartedAt.IsZero() {
+			runDur = s.FinishedAt.Sub(s.StartedAt)
+		}
+		if !s.SubmittedAt.IsZero() {
+			totalDur = s.FinishedAt.Sub(s.SubmittedAt)
+		}
+		m := p.env.obsM
+		if runDur > 0 {
+			m.phaseRun.Observe(runDur.Seconds())
+		}
+		if totalDur > 0 {
+			m.phaseTotal.Observe(totalDur.Seconds())
+		}
+		m.completed[to-JobDone].Inc()
+		if cause != nil {
+			p.env.log.Warn("job finished", "job_id", j.ID, "owner", j.Owner,
+				"state", s.State, "error", s.Error, "total_seconds", totalDur.Seconds())
+		} else {
+			p.env.log.Info("job finished", "job_id", j.ID, "owner", j.Owner,
+				"state", s.State, "total_seconds", totalDur.Seconds())
+		}
 	}
-	m := j.pipe.env.obsM
-	if runDur > 0 {
-		m.phaseRun.Observe(runDur.Seconds())
+	if replayDone {
+		p.recoveryPending.Add(-1)
 	}
-	if totalDur > 0 {
-		m.phaseTotal.Observe(totalDur.Seconds())
-	}
-	switch state {
-	case JobDone:
-		m.completedDone.Inc()
-	case JobFailed:
-		m.completedFailed.Inc()
-	case JobCanceled:
-		m.completedCanceled.Inc()
-	}
-	if err != nil {
-		j.pipe.env.log.Warn("job finished", "job_id", j.ID, "owner", j.Owner,
-			"state", state.String(), "error", err.Error(), "total_seconds", totalDur.Seconds())
-	} else {
-		j.pipe.env.log.Info("job finished", "job_id", j.ID, "owner", j.Owner,
-			"state", state.String(), "total_seconds", totalDur.Seconds())
-	}
-	j.noteReplayDone()
 	// Return the job's in-flight and held-host quota charges before the
 	// final status publishes, so owner counters never show a terminal
-	// job as still consuming capacity.
-	j.pipe.jobReleased(j)
-	j.publish()
-	j.pipe.persistState(j)
-	close(j.done)
+	// job as still consuming capacity; a parked owner may have just
+	// dropped below its in-flight cap.
+	if live && terminal && p.admit.release(j) {
+		p.wake()
+	}
+	switch e {
+	case forward, expire:
+		p.env.Board.Update(s)
+		p.events.Publish(jobsapi.EventState, s)
+		// Moves made once the environment's context ended are shutdown's:
+		// a graceful stop fails in-flight jobs with ErrPipelineClosed, but
+		// durably they stay queued/running — exactly the state the next
+		// boot re-adopts them from. Store appends are best effort: an I/O
+		// error is sticky in the log and surfaces on Sync/Close.
+		if p.store != nil && p.ctx.Err() == nil {
+			_ = p.store.JobState(s.ID, s.State, s.Error, s.StartedAt, s.FinishedAt)
+		}
+	case restore:
+		// A reboot is not a lifecycle transition: no stream event.
+		p.env.Board.Update(s)
+	}
+	if terminal {
+		close(j.done)
+	}
+	if live {
+		p.gauge()
+	}
 	return true
 }
-
-// complete marks the job done with its execution result.
-func (j *Job) complete(res *exec.Result) { j.terminalize(JobDone, nil, res) }
-
-// fail marks the job failed.
-func (j *Job) fail(err error) { j.terminalize(JobFailed, err, nil) }
 
 func (j *Job) publish() { j.publishEvent(jobsapi.EventState) }
 
@@ -860,11 +893,6 @@ type pipeline struct {
 	// store is the durable control-plane log (nil = in-memory only, the
 	// pre-StoreDir behavior byte for byte).
 	store *store.Store
-	// stopping suppresses persistence of shutdown-induced terminal
-	// transitions: jobs failed with ErrPipelineClosed by a graceful stop
-	// stay queued/running in the log, exactly what the next boot should
-	// re-adopt.
-	stopping atomic.Bool
 	// recovery reports what the boot replay did (immutable after
 	// startPipeline returns).
 	recovery RecoveryReport
@@ -977,23 +1005,27 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 	// pre-crash within-owner order exactly.
 	p.recoveryPending.Store(int64(len(adopt)))
 	for _, job := range adopt {
+		p.slots <- struct{}{}
+		now := time.Now()
 		job.mu.Lock()
 		job.replayPending = true
-		job.mu.Unlock()
-		p.slots <- struct{}{}
-		job.stampAdmitted(time.Now())
+		job.admitted = now
+		job.stampLocked(services.PhaseAdmitted, "", now)
 		p.admit.adoptQueued(job)
-		if !job.deadline.IsZero() {
-			job.mu.Lock()
-			job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
-			job.mu.Unlock()
-		}
+		job.mu.Unlock()
 		if job.recovered {
 			// In-flight at the crash: announce the re-adoption on the
 			// stream so subscribers see the job return to the queue.
 			job.publishEvent(jobsapi.EventRecovered)
 		} else {
 			job.publish()
+		}
+		// Armed after the publish, so an expiry due at once cannot
+		// publish the job failed ahead of its re-adoption.
+		if !job.deadline.IsZero() {
+			job.mu.Lock()
+			job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
+			job.mu.Unlock()
 		}
 	}
 	for w := 0; w < cfg.SchedulerWorkers; w++ {
@@ -1021,105 +1053,67 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 		p.admit.setOwnerAdmin(rec.Owner, rec.Weight, caps)
 	}
 	var adopt []*Job
+	m := p.env.obsM
 	for _, rec := range rs.SortedJobs() {
-		job := &Job{
-			ID:          rec.ID,
-			Owner:       rec.Owner,
-			K:           rec.K,
-			Labels:      rec.Labels,
+		g, gerr := afg.DecodeJSON(rec.Graph)
+		if g == nil {
+			// A handle must always carry a graph (statusSnapshot reads its
+			// name); an undecodable one is restored as failed below.
+			g = afg.NewGraph(rec.ID)
+		}
+		from, to, cause := replayTerminal, JobFailed, error(nil)
+		switch {
+		case gerr != nil:
+			cause = fmt.Errorf("vdce: recovered job graph: %w", gerr)
+		case rec.State == services.JobStateDone:
+			// The result payload is not persisted — Result() is nil after
+			// a restart — but the terminal status survives.
+			to = JobDone
+		case rec.State == services.JobStateCanceled:
+			to, cause = JobCanceled, ErrJobCanceled
+		case rec.State == services.JobStateFailed:
+			msg := rec.Error
+			if msg == "" {
+				msg = "vdce: job failed before restart"
+			}
+			cause = errors.New(msg)
+		case !rec.Deadline.IsZero() && !time.Now().Before(rec.Deadline):
+			// The job's deadline expired while the control plane was down:
+			// re-admitting and dispatching it would burn scheduler and host
+			// capacity on work that is already lost. Fail it at replay
+			// instead — with a stream event, because unlike a terminal
+			// restore this IS a lifecycle transition.
+			from, cause = replayLive, ErrJobDeadlineExceeded
+		default:
+			// Queued, scheduling, or running at the crash: re-adopt as
+			// queued. In-flight jobs lost their partial progress with the
+			// old engine; they re-schedule and re-execute from scratch.
+			from, to = replayLive, JobQueued
+		}
+		job := p.newJob(submitSpec{
+			owner:       rec.Owner,
+			graph:       g,
+			k:           rec.K,
 			home:        rec.Home,
 			priority:    rec.Priority,
 			shareWeight: clampShareWeight(rec.ShareWeight),
 			deadline:    rec.Deadline,
-			pipe:        p,
-			done:        make(chan struct{}),
-			cancelCh:    make(chan struct{}),
-			submitted:   rec.SubmittedAt,
-			enqueued:    rec.SubmittedAt,
-			started:     rec.StartedAt,
-			finished:    rec.FinishedAt,
-		}
+			labels:      rec.Labels,
+		}, from)
+		job.ID = rec.ID
+		job.submitted, job.enqueued = rec.SubmittedAt, rec.SubmittedAt
 		if job.home < 0 || job.home >= len(p.env.Sites) {
 			// The testbed may be configured differently than the one the
 			// job was submitted to; fall back to the accounts site.
 			job.home = 0
 		}
-		g, gerr := afg.DecodeJSON(rec.Graph)
-		if g != nil {
-			job.Graph = g
-		} else {
-			// A handle must always carry a graph (statusSnapshot reads its
-			// name); an undecodable one terminalizes below.
-			job.Graph = afg.NewGraph(rec.ID)
-		}
-		terminal := true
-		expired := false
-		switch {
-		case gerr != nil:
-			job.state = JobFailed
-			job.err = fmt.Errorf("vdce: recovered job graph: %w", gerr)
-		case rec.State == services.JobStateDone:
-			// The result payload is not persisted — Result() is nil after
-			// a restart — but the terminal status survives.
-			job.state = JobDone
-		case rec.State == services.JobStateCanceled:
-			job.state = JobCanceled
-			job.err = ErrJobCanceled
-		case rec.State == services.JobStateFailed:
-			job.state = JobFailed
-			if rec.Error != "" {
-				job.err = errors.New(rec.Error)
-			} else {
-				job.err = errors.New("vdce: job failed before restart")
-			}
-		case !rec.Deadline.IsZero() && !time.Now().Before(rec.Deadline):
-			// The job's deadline expired while the control plane was down:
-			// re-admitting and dispatching it would burn scheduler and host
-			// capacity on work that is already lost. Terminalize it at
-			// replay instead — with a stream event, because unlike the
-			// terminal restores below this IS a lifecycle transition.
-			job.state = JobFailed
-			job.err = ErrJobDeadlineExceeded
-			job.finished = rec.Deadline
-			expired = true
-		default:
-			// Queued, scheduling, or running at the crash: re-adopt as
-			// queued. In-flight jobs lost their partial progress with the
-			// old engine; they re-schedule and re-execute from scratch.
-			terminal = false
-			job.state = JobQueued
-			job.recovered = rec.State != services.JobStateQueued
-			job.started = time.Time{}
-		}
-		// Seed the lifecycle trace: every recovered job's chain starts at
-		// its original submission; terminal restores get their terminal
-		// stamp synthesized so recovered traces satisfy the same
-		// complete-chain contract as live ones.
+		// Every recovered job's trace starts at its original submission;
+		// terminal moves stamp at the record's finish time, so recovered
+		// traces satisfy the same complete-chain contract as live ones.
 		job.stampLocked(services.PhaseSubmitted, "", rec.SubmittedAt)
-		m := p.env.obsM
-		if terminal {
-			if job.finished.IsZero() {
-				job.finished = rec.SubmittedAt
-			}
-			detail := ""
-			if job.err != nil {
-				detail = job.err.Error()
-			}
-			job.finished = job.stampLocked(job.state.String(), detail, job.finished)
-			close(job.done)
-			if expired {
-				p.recovery.DeadlineExpiredAtReplay++
-				m.recoveryExpired.Inc()
-				job.publish()
-				p.persistState(job)
-			} else {
-				p.recovery.TerminalRetained++
-				m.recoveryTerminal.Inc()
-				// Restore the board row without publishing a stream event: a
-				// reboot is not a lifecycle transition.
-				p.env.Board.Update(job.statusSnapshot())
-			}
-		} else {
+		switch {
+		case to == JobQueued:
+			job.recovered = rec.State != services.JobStateQueued
 			job.stampLocked("recovered", rec.State, time.Now())
 			if job.recovered {
 				p.recovery.InFlightRedispatched++
@@ -1129,7 +1123,19 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 				m.recoveryRequeued.Inc()
 			}
 			adopt = append(adopt, job)
+		case from == replayLive:
+			job.started, job.finished = rec.StartedAt, rec.Deadline
+			p.recovery.DeadlineExpiredAtReplay++
+			m.recoveryExpired.Inc()
+		default:
+			job.started, job.finished = rec.StartedAt, rec.FinishedAt
+			if job.finished.IsZero() {
+				job.finished = rec.SubmittedAt
+			}
+			p.recovery.TerminalRetained++
+			m.recoveryTerminal.Inc()
 		}
+		job.advance(to, cause, nil)
 		p.byID[job.ID] = job
 	}
 	sort.Slice(adopt, func(i, j int) bool { return canonicalBefore(adopt[i], adopt[j]) })
@@ -1162,25 +1168,6 @@ func (p *pipeline) persistSubmitted(j *Job) {
 		SubmittedAt: j.submitted,
 		State:       services.JobStateQueued,
 	})
-}
-
-// persistState appends a job's lifecycle transition to the durable log.
-// Suppressed while the pipeline is stopping: a graceful shutdown fails
-// in-flight jobs with ErrPipelineClosed, but durably they remain
-// queued/running — exactly the state the next boot re-adopts them from.
-func (p *pipeline) persistState(j *Job) {
-	if p.store == nil || p.stopping.Load() {
-		return
-	}
-	j.mu.Lock()
-	state := j.state.String()
-	errMsg := ""
-	if j.err != nil {
-		errMsg = j.err.Error()
-	}
-	started, finished := j.started, j.finished
-	j.mu.Unlock()
-	_ = p.store.JobState(j.ID, state, errMsg, started, finished)
 }
 
 // submitSpec is a fully resolved submission (options applied).
@@ -1248,22 +1235,17 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		p.admit.unreserveQueued(spec.owner)
 		return nil, ErrPipelineClosed
 	}
-	job := &Job{
-		Owner:       spec.owner,
-		Graph:       spec.graph,
-		K:           spec.k,
-		Labels:      spec.labels,
-		priority:    spec.priority,
-		shareWeight: spec.shareWeight,
-		deadline:    spec.deadline,
-		pipe:        p,
-		done:        make(chan struct{}),
-		cancelCh:    make(chan struct{}),
-		state:       JobQueued,
-	}
+	job := p.newJob(spec, JobQueued)
+	// j.mu is held from registration until the job sits in the
+	// admission queue: a Cancel or an expiry that finds the job waits
+	// for the push, so "still queued, not canceled → admitted → pushed"
+	// is one step, and the job's submit record precedes its state
+	// records in the durable log.
+	job.mu.Lock()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		job.mu.Unlock()
 		p.releaseSlot()
 		p.admit.unreserveQueued(spec.owner)
 		return nil, ErrPipelineClosed
@@ -1279,40 +1261,53 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	// key index almost always receives a new job's key at its tail.
 	now := time.Now()
 	job.submitted, job.enqueued = now, now
-	job.mu.Lock()
 	job.stampLocked(services.PhaseSubmitted, "", now)
-	job.mu.Unlock()
 	p.byID[job.ID] = job
 	p.mu.Unlock()
 	p.persistSubmitted(job)
-	job.publish()
+	s := job.statusLocked()
+	p.env.Board.Update(s)
+	p.events.Publish(jobsapi.EventState, s)
+	now = time.Now()
+	job.admitted = now
+	job.stampLocked(services.PhaseAdmitted, "", now)
+	p.admit.push(job)
+	if !job.deadline.IsZero() {
+		// Drop the job at its deadline if it is still queued then, so it
+		// does not pin a queue slot or block Wait callers until a worker
+		// happens to pop it.
+		job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
+	}
+	job.mu.Unlock()
 	p.pruneRetained()
 	p.gauge()
-	// A cancel (CancelJob by ID) may land between registration and the
-	// push: never enqueue a job that is already terminal.
-	if job.canceled() {
-		p.releaseSlot()
-		p.admit.unreserveQueued(spec.owner)
-		return nil, ErrJobCanceled
-	}
-	now = time.Now()
-	job.stampAdmitted(now)
-	p.admit.push(job)
 	p.meter.record(false)
 	m := p.env.obsM
 	m.submitWait.Observe(now.Sub(start).Seconds())
 	m.accepted.Inc()
 	p.env.log.Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
-	if !job.deadline.IsZero() {
-		// Drop the job at its deadline if it is still queued then, so it
-		// does not pin a queue slot or block Wait callers until a worker
-		// happens to pop it.
-		job.mu.Lock()
-		job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
-		job.mu.Unlock()
-	}
 	p.wake()
 	return job, nil
+}
+
+// newJob builds a job handle in state from: JobQueued for a new
+// submission, a replay source for a handle rebuilt from a durable
+// record.
+func (p *pipeline) newJob(spec submitSpec, from JobState) *Job {
+	return &Job{
+		Owner:       spec.owner,
+		Graph:       spec.graph,
+		K:           spec.k,
+		Labels:      spec.labels,
+		home:        spec.home,
+		priority:    spec.priority,
+		shareWeight: spec.shareWeight,
+		deadline:    spec.deadline,
+		pipe:        p,
+		done:        make(chan struct{}),
+		cancelCh:    make(chan struct{}),
+		state:       from,
+	}
 }
 
 // releaseSlot returns one unit of queue capacity after a job leaves the
@@ -1426,34 +1421,24 @@ func (p *pipeline) process(job *Job) {
 	// Canceled and deadline-expired queued jobs are dropped here, before
 	// any scheduling work happens.
 	if !job.claimForScheduling() {
-		// The job may have been terminal before the pop even charged it
-		// (a cancel that landed between submit's check and push): its
-		// terminalize ran too early to see the charge, so return it
-		// explicitly — jobReleased is idempotent.
-		p.jobReleased(job)
-		p.gauge()
 		return
 	}
-	p.gauge()
 	svc, err := p.services(job.home)
 	if err != nil {
-		job.fail(fmt.Errorf("vdce: scheduling services for site %d: %w", job.home, err))
-		p.gauge()
+		job.advance(JobFailed, fmt.Errorf("vdce: scheduling services for site %d: %w", job.home, err), nil)
 		return
 	}
 	sched := core.NewScheduler(svc.local, svc.remotes, p.env.Net, job.K)
 	cost, err := p.env.CostFunc(job.Graph)
 	if err != nil {
-		job.fail(err)
-		p.gauge()
+		job.advance(JobFailed, err, nil)
 		return
 	}
 	roundStart := time.Now()
 	table, err := sched.Schedule(job.Graph, cost)
 	p.env.obsM.roundLatency.Observe(time.Since(roundStart).Seconds())
 	if err != nil {
-		job.fail(err)
-		p.gauge()
+		job.advance(JobFailed, err, nil)
 		return
 	}
 	job.setTable(table)
@@ -1497,12 +1482,10 @@ func (p *pipeline) dispatch(job *Job, table *core.AllocationTable) {
 	select {
 	case p.runSem <- struct{}{}:
 	case <-job.cancelCh:
-		job.terminalize(JobCanceled, ErrJobCanceled, nil)
-		p.gauge()
+		job.advance(JobCanceled, ErrJobCanceled, nil)
 		return
 	case <-p.ctx.Done():
-		job.fail(ErrPipelineClosed)
-		p.gauge()
+		job.advance(JobFailed, ErrPipelineClosed, nil)
 		return
 	}
 	go p.execute(job, table)
@@ -1540,16 +1523,13 @@ func (p *pipeline) parkForHosts(job *Job, table *core.AllocationTable, needed []
 		select {
 		case <-changed:
 		case <-deadlineCh:
-			job.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
-			p.gauge()
+			job.advance(JobFailed, ErrJobDeadlineExceeded, nil)
 			return
 		case <-job.cancelCh:
-			job.terminalize(JobCanceled, ErrJobCanceled, nil)
-			p.gauge()
+			job.advance(JobCanceled, ErrJobCanceled, nil)
 			return
 		case <-p.ctx.Done():
-			job.fail(ErrPipelineClosed)
-			p.gauge()
+			job.advance(JobFailed, ErrPipelineClosed, nil)
 			return
 		}
 	}
@@ -1575,11 +1555,12 @@ func distinctHosts(table *core.AllocationTable) []string {
 // view and publishes it, so /v1/jobs and owner counters show the held
 // hosts live. The mirror only rises — concurrent reschedule events may
 // report their ledger counts out of order, and the count never shrinks
-// until terminalize zeroes it.
+// until the terminal move zeroes it.
 func (j *Job) noteHostsHeld(n int) {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
-		// Lost a race with terminalize: the charge was already released.
+	if j.state.terminal() {
+		// Lost a race with the terminal move: the charge was already
+		// released.
 		j.mu.Unlock()
 		return
 	}
@@ -1600,18 +1581,9 @@ func (p *pipeline) wake() {
 	}
 }
 
-// jobReleased returns a terminal job's quota charges and, when
-// anything freed, wakes an idle worker — a parked owner may have just
-// dropped below its in-flight cap.
-func (p *pipeline) jobReleased(j *Job) {
-	if p.admit.release(j) {
-		p.wake()
-	}
-}
-
 // execute runs the job's task graph under its own cancelable (and
-// deadline-bounded, when WithDeadline was given) context, then
-// terminalizes it.
+// deadline-bounded, when WithDeadline was given) context, then ends it
+// in its terminal state.
 func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 	defer func() { <-p.runSem }()
 	job.stampDispatched()
@@ -1628,13 +1600,14 @@ func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 			c()
 		}
 	}()
-	if !job.setRunCancel(cancel) {
-		job.terminalize(JobCanceled, ErrJobCanceled, nil)
-		p.gauge()
+	job.mu.Lock()
+	job.runCancel = cancel
+	job.mu.Unlock()
+	if !job.advance(JobRunning, nil, nil) {
+		// Cancel was requested before the run could start.
+		job.advance(JobCanceled, ErrJobCanceled, nil)
 		return
 	}
-	job.transition(JobRunning)
-	p.gauge()
 	res, err := p.env.Engine.Execute(runCtx, job.Graph, table, exec.WithEventSink(job.execEvent))
 	switch {
 	case err == nil:
@@ -1643,15 +1616,14 @@ func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 		if res.Table != nil {
 			job.setTable(res.Table)
 		}
-		job.complete(res)
+		job.advance(JobDone, nil, res)
 	case job.canceled():
-		job.terminalize(JobCanceled, ErrJobCanceled, nil)
+		job.advance(JobCanceled, ErrJobCanceled, nil)
 	case errors.Is(runCtx.Err(), context.DeadlineExceeded):
-		job.terminalize(JobFailed, fmt.Errorf("%w: %v", ErrJobDeadlineExceeded, err), nil)
+		job.advance(JobFailed, fmt.Errorf("%w: %v", ErrJobDeadlineExceeded, err), nil)
 	default:
-		job.fail(err)
+		job.advance(JobFailed, err, nil)
 	}
-	p.gauge()
 }
 
 // canceled reports whether Cancel has been requested.
@@ -1671,13 +1643,9 @@ func (p *pipeline) gauge() {
 }
 
 // stop fails every queued job and waits for in-flight work to settle.
-// The environment context must already be canceled.
+// The environment context must already be canceled, which stops
+// advance persisting the failures stop causes.
 func (p *pipeline) stop() {
-	// Durability first: from here on, shutdown-induced terminal states
-	// (ErrPipelineClosed) are not persisted — queued and running jobs
-	// remain recoverable in the log, which is what the next boot
-	// re-adopts.
-	p.stopping.Store(true)
 	// Refuse new admissions first: any job registered before this point
 	// is visible to allSettled below, so the drain loop will fail it.
 	p.mu.Lock()
@@ -1691,10 +1659,7 @@ func (p *pipeline) stop() {
 	for {
 		for job := p.admit.pop(); job != nil; job = p.admit.pop() {
 			p.releaseSlot()
-			job.terminalize(JobFailed, ErrPipelineClosed, nil)
-			// Already-terminal jobs (canceled pre-push) missed the pop
-			// charge in their own terminalize; idempotent re-release.
-			p.jobReleased(job)
+			job.advance(JobFailed, ErrPipelineClosed, nil)
 		}
 		if p.allSettled() {
 			return

@@ -707,8 +707,8 @@ func (env *Environment) EditorServer(execute bool, k int) *editor.Server {
 					// Per-owner admission quota: a 429, not a 400 — the
 					// request was fine, the owner must back off.
 					err = fmt.Errorf("%w: %v", editor.ErrQuotaExceeded, err)
-				case errors.Is(err, ErrJobDeadlineExceeded), errors.Is(err, ErrJobCanceled),
-					errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+				case errors.Is(err, ErrJobDeadlineExceeded), errors.Is(err, context.Canceled),
+					errors.Is(err, context.DeadlineExceeded):
 					// Failures the request itself caused surface as 400s.
 					err = fmt.Errorf("%w: %v", editor.ErrBadSubmission, err)
 				}
